@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the engineering deviations documented in
+//! `fairhms_core::bigreedy`'s module docs:
 //! binary vs linear τ search, lazy vs eager greedy (see `bigreedy.rs`),
 //! streaming vs offline selection, and net-size effects on IntCov-free
 //! multi-dimensional solving.

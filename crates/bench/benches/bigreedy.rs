@@ -1,6 +1,6 @@
 //! End-to-end `BiGreedy` / `BiGreedy+` — the multi-dimensional solvers
-//! behind Figures 5–9 — plus the lazy-vs-eager greedy ablation called out
-//! in DESIGN.md.
+//! behind Figures 5–9 — plus the lazy-vs-eager greedy ablation (the lazy
+//! loop is described in `docs/ARCHITECTURE.md`, "Kernel layer").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

@@ -13,7 +13,8 @@ fn main() {
     let base_n = if full { 10_000 } else { 2_000 };
     let mut csv: Vec<Vec<String>> = Vec::new();
 
-    // (a) vary d (paper: 2..16; default stops at 8 — see DESIGN.md).
+    // (a) vary d (paper: 2..16; the default run stops at 8 to stay short,
+    // `--full` sweeps the paper's range).
     let dims: Vec<usize> = if full {
         vec![2, 4, 6, 8, 10, 12, 16]
     } else {

@@ -9,8 +9,9 @@
 //! for up to `γ = ⌈log₂(2m/ε)⌉` rounds (Lemma 4.5) — reaches
 //! `mhr_τ(S|N) ≥ (1 − ε/2m)·τ`.
 //!
-//! Two deliberate engineering deviations from the paper's pseudocode, both
-//! recorded in DESIGN.md:
+//! Two deliberate engineering deviations from the paper's pseudocode (the
+//! τ-search's inner loop is described in `docs/ARCHITECTURE.md`, "Kernel
+//! layer"):
 //!
 //! 1. **τ search.** Achievability of `τ` is monotone (smaller caps are
 //!    easier), so instead of sweeping every grid value — `O(ln(m)/ε)`
@@ -277,6 +278,8 @@ pub fn bigreedy_on_net(
 /// the caller — the warm-start entry point. `db_max[u]` **must** equal
 /// `max_{p ∈ D} ⟨net[u], p⟩` over `inst`'s dataset (see [`CachedDbMax`]);
 /// callers verify the cached preimage before passing a reused vector.
+/// A `db_max` whose length differs from the net's is refused with
+/// [`CoreError::InvalidParameter`].
 pub fn bigreedy_on_net_with_db_max(
     inst: &FairHmsInstance,
     net: &[Vec<f64>],
@@ -284,7 +287,13 @@ pub fn bigreedy_on_net_with_db_max(
     config: &BiGreedyConfig,
 ) -> Result<(Solution, f64), CoreError> {
     config.validate()?;
-    debug_assert_eq!(db_max.len(), net.len(), "db_max/net length mismatch");
+    if db_max.len() != net.len() {
+        return Err(CoreError::InvalidParameter {
+            param: "db_max",
+            value: format!("{} entries for {} net vectors", db_max.len(), net.len()),
+            expected: "one entry per net vector",
+        });
+    }
     let data = inst.data();
     let m = net.len().max(1);
     // validate() pins epsilon to exactly the range used here — no clamp.
@@ -634,6 +643,37 @@ mod tests {
             inline.mhr.map(f64::to_bits)
         );
         assert_eq!(tau_a.to_bits(), tau_b.to_bits());
+    }
+
+    #[test]
+    fn db_max_of_the_wrong_length_is_a_typed_error() {
+        // Regression: a length mismatch was only a debug assertion, so a
+        // release build answered [0, 1, 2] with mhr 0.0 on this instance
+        // (db_max cut to 30 of 60 entries), where the answer is [3, 4, 7]
+        // with mhr 0.9949.
+        let inst = lsac_instance(3, true);
+        let cfg = BiGreedyConfig::paper_default(3, 2);
+        let net = SampledNet::generate(inst.dim(), 60, cfg.seed);
+        let db_max = db_max_of(inst.data(), &net.vectors);
+        for len in [0, 30, 59] {
+            match bigreedy_on_net_with_db_max(&inst, &net.vectors, &db_max[..len], &cfg) {
+                Err(CoreError::InvalidParameter {
+                    param: "db_max", ..
+                }) => {}
+                other => panic!("db_max of {len} entries: expected a typed error, got {other:?}"),
+            }
+        }
+        let longer: Vec<f64> = db_max.iter().chain(&db_max).copied().collect();
+        assert!(matches!(
+            bigreedy_on_net_with_db_max(&inst, &net.vectors, &longer, &cfg),
+            Err(CoreError::InvalidParameter {
+                param: "db_max",
+                ..
+            })
+        ));
+        let (sol, _) = bigreedy_on_net_with_db_max(&inst, &net.vectors, &db_max, &cfg).unwrap();
+        assert_eq!(sol.indices, vec![3, 4, 7]);
+        assert!((sol.mhr.unwrap() - 0.9949).abs() < 5e-5, "{:?}", sol.mhr);
     }
 
     #[test]

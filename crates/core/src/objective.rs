@@ -6,6 +6,13 @@
 //! [`IncrementalObjective`] interface with a per-utility running-maximum
 //! state, so a greedy step costs `O(m)` per candidate (plus the `O(m·d)`
 //! score computation unless the score matrix is cached).
+//!
+//! With the score matrix cached, [`IncrementalObjective::gains`] evaluates
+//! candidates four to a lane: each utility that still has headroom below
+//! `τ` is loaded once and its term added to four independent sums. Every
+//! sum keeps the per-item order (ascending utility index), and a utility
+//! already at `τ` contributes exactly `+0.0`, so skipping it leaves the
+//! sums bit-identical to [`IncrementalObjective::gain`].
 
 use fairhms_data::Dataset;
 use fairhms_geometry::soa::{kernel_backend, KernelBackend};
@@ -16,6 +23,23 @@ use fairhms_submodular::IncrementalObjective;
 /// Above this many `n × m` entries, scores are computed on the fly instead
 /// of cached (the cache would exceed ~400 MB of `f64`s).
 const CACHE_LIMIT: usize = 50_000_000;
+
+/// Candidates evaluated side by side by [`IncrementalObjective::gains`].
+const LANES: usize = 4;
+
+/// Smallest score-cache capacity, in entries: just above glibc's 32 MiB
+/// ceiling on its dynamic mmap threshold (`DEFAULT_MMAP_THRESHOLD_MAX` on
+/// 64-bit targets).
+///
+/// glibc raises its mmap threshold to the size of every mapped block it
+/// frees, so after one large cache is dropped, the next cache a little
+/// smaller would come from the heap arena instead. A freed arena block can
+/// stay resident under a live allocation, and two caches then count
+/// against the process at once. Requesting at least this much capacity
+/// keeps every cache in a mapping of its own, returned to the system when
+/// the objective is dropped; pages past `n · m` entries are never touched
+/// and so never become resident.
+const OWN_MAPPING_ENTRIES: usize = (32 << 20) / std::mem::size_of::<f64>() + 1;
 
 /// The truncated MHR objective over a fixed utility sample.
 pub struct TruncatedMhrObjective<'a> {
@@ -44,16 +68,15 @@ impl<'a> TruncatedMhrObjective<'a> {
         let m = net.len();
         let n = data.len();
         let scores = if cache && n.saturating_mul(m) <= CACHE_LIMIT {
-            let s = match kernel_backend() {
+            let mut s = Vec::with_capacity((n * m).max(OWN_MAPPING_ENTRIES));
+            match kernel_backend() {
                 KernelBackend::Scalar => {
-                    let mut s = Vec::with_capacity(n * m);
                     for i in 0..n {
                         let p = data.point(i);
                         for (u, &dbm) in net.iter().zip(db_max) {
                             s.push(normalized_score(p, u, dbm));
                         }
                     }
-                    s
                 }
                 KernelBackend::Blocked => {
                     // Tile-outer build: for each 64-row tile, sweep all
@@ -63,22 +86,25 @@ impl<'a> TruncatedMhrObjective<'a> {
                     // whole n × m cache once per utility through the
                     // stride-m scatter. Each raw dot is bitwise-equal to
                     // the scalar loop (see fairhms_geometry::soa), so the
-                    // cache contents are identical across backends.
-                    let mut s = vec![0.0; n * m];
+                    // cache contents are identical across backends. Each
+                    // tile's rows are zero-extended just before they are
+                    // written, while they are hot in cache.
                     let mut acc = [0.0; fairhms_geometry::soa::BLOCK];
                     let soa = data.soa();
                     for b in 0..soa.num_tiles() {
                         let start = b * fairhms_geometry::soa::BLOCK;
+                        let rows = fairhms_geometry::soa::BLOCK.min(n - start);
+                        s.resize((start + rows) * m, 0.0);
+                        let tile = &mut s[start * m..];
                         for (u_idx, (u, &dbm)) in net.iter().zip(db_max).enumerate() {
                             let rows = soa.dot_tile(b, u, &mut acc);
                             for (r, &raw) in acc[..rows].iter().enumerate() {
-                                s[(start + r) * m + u_idx] = normalize_raw(raw, dbm);
+                                tile[r * m + u_idx] = normalize_raw(raw, dbm);
                             }
                         }
                     }
-                    s
                 }
-            };
+            }
             Some(s)
         } else {
             None
@@ -125,6 +151,22 @@ impl<'a> TruncatedMhrObjective<'a> {
     }
 }
 
+/// One utility's term of the marginal gain: `max(0, min(s, τ) − cur)`.
+///
+/// Written as selects so each compiles to a single `minsd`/`maxsd`, and
+/// ordered so a NaN score or state adds `+0.0`: the term is positive
+/// exactly when `cur < τ` and `s > cur`, the only case that adds anything.
+#[inline(always)]
+fn headroom(s: f64, cur: f64, tau: f64) -> f64 {
+    let capped = if s > tau { tau } else { s };
+    let d = capped - cur;
+    if d > 0.0 {
+        d
+    } else {
+        0.0
+    }
+}
+
 #[inline]
 fn normalized_score(p: &[f64], u: &[f64], db_max: f64) -> f64 {
     normalize_raw(dot(p, u), db_max)
@@ -153,18 +195,68 @@ impl IncrementalObjective for TruncatedMhrObjective<'_> {
     }
 
     fn gain(&self, state: &Vec<f64>, item: usize) -> f64 {
-        let m = state.len().max(1);
-        let mut g = 0.0;
-        for (u_idx, &cur) in state.iter().enumerate() {
-            if cur >= self.tau {
-                continue; // already capped: no headroom on this utility
+        let tau = self.tau;
+        let g = match &self.scores {
+            Some(scores) => {
+                let row = &scores[item * state.len()..][..state.len()];
+                state
+                    .iter()
+                    .zip(row)
+                    .fold(0.0, |g, (&cur, &s)| g + headroom(s, cur, tau))
             }
-            let s = self.score(item, u_idx);
-            if s > cur {
-                g += s.min(self.tau) - cur;
+            // Uncached scores cost a dot product each: skip the utilities
+            // already at τ, whose terms are exactly +0.0.
+            None => state
+                .iter()
+                .enumerate()
+                .filter(|&(_, &cur)| cur < tau)
+                .fold(0.0, |g, (u_idx, &cur)| {
+                    g + headroom(self.score(item, u_idx), cur, tau)
+                }),
+        };
+        g / state.len().max(1) as f64
+    }
+
+    fn gains(&self, state: &Vec<f64>, items: &[usize], out: &mut [f64]) {
+        debug_assert_eq!(items.len(), out.len());
+        let Some(scores) = &self.scores else {
+            for (g, &item) in out.iter_mut().zip(items) {
+                *g = self.gain(state, item);
+            }
+            return;
+        };
+        let tau = self.tau;
+        let m = state.len();
+        let denom = m.max(1) as f64;
+        // Utilities with headroom, ascending; the rest add +0.0 to every sum.
+        let open: Vec<(usize, f64)> = state
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, cur)| cur < tau)
+            .collect();
+        let row = |item: usize| &scores[item * m..][..m];
+        let mut lanes = items.chunks_exact(LANES);
+        let mut outs = out.chunks_exact_mut(LANES);
+        for (quad, g) in (&mut lanes).zip(&mut outs) {
+            let rows = [row(quad[0]), row(quad[1]), row(quad[2]), row(quad[3])];
+            let mut acc = [0.0; LANES];
+            for &(u, cur) in &open {
+                for (a, r) in acc.iter_mut().zip(&rows) {
+                    *a += headroom(r[u], cur, tau);
+                }
+            }
+            for (g, a) in g.iter_mut().zip(acc) {
+                *g = a / denom;
             }
         }
-        g / m as f64
+        for (g, &item) in outs.into_remainder().iter_mut().zip(lanes.remainder()) {
+            let r = row(item);
+            *g = open
+                .iter()
+                .fold(0.0, |a, &(u, cur)| a + headroom(r[u], cur, tau))
+                / denom;
+        }
     }
 
     fn add(&self, state: &mut Vec<f64>, item: usize) {

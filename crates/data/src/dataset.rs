@@ -566,6 +566,14 @@ impl Table {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that read the global deep-clone counter: one
+    /// test's deliberate clone must not land inside another's window.
+    static CLONE_PROBE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn probe_guard() -> std::sync::MutexGuard<'static, ()> {
+        CLONE_PROBE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn tiny() -> Dataset {
         Dataset::new(
             "tiny",
@@ -590,6 +598,7 @@ mod tests {
 
     #[test]
     fn clone_moves_the_deep_clone_probe() {
+        let _probe = probe_guard();
         let d = tiny();
         let before = deep_clone_count();
         let copy = d.clone();
@@ -687,6 +696,7 @@ mod tests {
 
     #[test]
     fn appended_and_removed_rows_derive_new_datasets() {
+        let _probe = probe_guard();
         let d = tiny();
         let before = deep_clone_count();
         let a = d.with_appended_row(&[3.0, 3.0], 1).unwrap();

@@ -12,8 +12,8 @@
 //! * [`realsim`] — simulators standing in for the paper's real datasets
 //!   (Lawschs, Adult, Compas, Credit), which cannot be downloaded in this
 //!   environment. Each matches the published n, d, group structure, and
-//!   approximate skyline scale (see DESIGN.md §4), plus the literal 8-row
-//!   LSAC example of Table 1.
+//!   approximate skyline scale (documented per simulator), plus the
+//!   literal 8-row LSAC example of Table 1.
 //! * [`shard`] — deterministic row partitioning ([`ShardPlan`]) and the
 //!   merge stage that makes sharded group-skyline preparation bit-identical
 //!   to the unsharded pipeline.

@@ -231,10 +231,34 @@ impl FairnessMatroid {
     /// Per-group selection counts of `items`.
     pub fn counts(&self, items: &[usize]) -> Vec<usize> {
         let mut counts = vec![0usize; self.lower.len()];
+        self.count_into(items, &mut counts);
+        counts
+    }
+
+    /// Adds the per-group selection counts of `items` to `counts`.
+    fn count_into(&self, items: &[usize], counts: &mut [usize]) {
         for &i in items {
             counts[self.groups[i]] += 1;
         }
-        counts
+    }
+
+    /// [`Matroid::can_extend`] with the per-group counts kept in the
+    /// caller's zeroed `counts` buffer.
+    fn extends(&self, items: &[usize], new_item: usize, counts: &mut [usize]) -> bool {
+        self.count_into(items, counts);
+        let g = self.groups[new_item];
+        if counts[g] >= self.upper[g] {
+            return false;
+        }
+        // Adding to group g increases Σ max(count, l) only when the count
+        // is already at or above the lower bound.
+        let reserved: usize = counts
+            .iter()
+            .zip(&self.lower)
+            .map(|(&n, &l)| n.max(l))
+            .sum();
+        let delta = usize::from(counts[g] >= self.lower[g]);
+        reserved + delta <= self.k
     }
 
     /// Whether per-group counts describe an independent set.
@@ -276,6 +300,10 @@ impl FairnessMatroid {
     }
 }
 
+/// Groups up to which [`FairnessMatroid`]'s `can_extend` counts on the
+/// stack instead of allocating.
+const STACK_GROUPS: usize = 16;
+
 impl Matroid for FairnessMatroid {
     fn ground_size(&self) -> usize {
         self.groups.len()
@@ -292,20 +320,14 @@ impl Matroid for FairnessMatroid {
         if new_item >= self.groups.len() {
             return false;
         }
-        let counts = self.counts(items);
-        let g = self.groups[new_item];
-        if counts[g] >= self.upper[g] {
-            return false;
+        // The greedy loops ask this once per heap pop: count on the stack
+        // for the usual handful of groups.
+        let c = self.lower.len();
+        if c <= STACK_GROUPS {
+            self.extends(items, new_item, &mut [0; STACK_GROUPS][..c])
+        } else {
+            self.extends(items, new_item, &mut vec![0; c])
         }
-        // Adding to group g increases Σ max(count, l) only when the count
-        // is already at or above the lower bound.
-        let reserved: usize = counts
-            .iter()
-            .zip(&self.lower)
-            .map(|(&n, &l)| n.max(l))
-            .sum();
-        let delta = usize::from(counts[g] >= self.lower[g]);
-        reserved + delta <= self.k
     }
 
     fn rank_upper_bound(&self) -> usize {

@@ -42,6 +42,20 @@ pub trait IncrementalObjective {
     /// Marginal gain of adding `item` to the set represented by `state`.
     fn gain(&self, state: &Self::State, item: usize) -> f64;
 
+    /// Marginal gains of every item in `items` at `state`, written to the
+    /// matching slots of `out` (`out.len() == items.len()`).
+    ///
+    /// Each `out[i]` must be bitwise equal to `gain(state, items[i])`: the
+    /// greedy loops batch their evaluations through this method, so an
+    /// override may only change how fast the gains are computed, never
+    /// their values. The default evaluates one item at a time.
+    fn gains(&self, state: &Self::State, items: &[usize], out: &mut [f64]) {
+        debug_assert_eq!(items.len(), out.len());
+        for (g, &item) in out.iter_mut().zip(items) {
+            *g = self.gain(state, item);
+        }
+    }
+
     /// Adds `item` to `state`.
     fn add(&self, state: &mut Self::State, item: usize);
 }
@@ -141,12 +155,27 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// Stale heap tops [`lazy_greedy_matroid`] re-evaluates per
+/// [`IncrementalObjective::gains`] call. Four is the lane width of the
+/// truncated MHR objective's `gains` in `fairhms-core`, so a full batch
+/// is one pass over the open utilities.
+const REFRESH_BATCH: usize = 4;
+
 /// Lazy-evaluation variant of [`greedy_matroid`].
 ///
 /// Marginal gains are kept in a max-heap and only re-evaluated when stale;
 /// submodularity guarantees a re-evaluated gain can only shrink, so the
 /// first up-to-date top of the heap is the true argmax. Behaviour matches
 /// the eager greedy exactly (same tie-breaking) for submodular objectives.
+///
+/// The heap is seeded by one batched [`IncrementalObjective::gains`]
+/// sweep over `candidates`. Stale feasible tops are refreshed up to four
+/// at a time: a refresh is an exact gain, and every entry still in the
+/// heap stays an upper bound on its own gain, so refreshing an entry that
+/// would not yet have needed it cannot change a pick. The loop stops once
+/// the selection reaches the matroid's [`Matroid::rank_upper_bound`]: no
+/// element can extend a set of that size, so the entries left in the heap
+/// are never popped.
 pub fn lazy_greedy_matroid<O: IncrementalObjective, M: Matroid>(
     objective: &O,
     matroid: &M,
@@ -154,37 +183,53 @@ pub fn lazy_greedy_matroid<O: IncrementalObjective, M: Matroid>(
 ) -> GreedyResult {
     let mut state = objective.empty_state();
     let mut items: Vec<usize> = Vec::new();
+    let rank = matroid.rank_upper_bound();
     let mut stamp = 0usize; // incremented on every add; entries older are stale
+    let mut seed_gains = vec![0.0; candidates.len()];
+    objective.gains(&state, candidates, &mut seed_gains);
     let mut heap: BinaryHeap<HeapEntry> = candidates
         .iter()
-        .map(|&item| HeapEntry {
-            gain: objective.gain(&state, item),
-            item,
-            stamp,
-        })
+        .zip(seed_gains)
+        .map(|(&item, gain)| HeapEntry { gain, item, stamp })
         .collect();
-    loop {
-        let mut chosen: Option<usize> = None;
-        while let Some(top) = heap.pop() {
-            if !matroid.can_extend(&items, top.item) {
-                // Growing S only shrinks the feasible extension set in a
-                // matroid, so an infeasible candidate never becomes feasible
-                // again — drop it permanently.
-                continue;
+    let mut stale: Vec<usize> = Vec::with_capacity(REFRESH_BATCH);
+    let mut fresh = [0.0; REFRESH_BATCH];
+    while items.len() < rank {
+        let chosen = loop {
+            // Growing S only shrinks the feasible extension set in a
+            // matroid, so an infeasible candidate never becomes feasible
+            // again: every infeasible entry popped here is dropped for good.
+            stale.clear();
+            while stale.len() < REFRESH_BATCH {
+                match heap.peek() {
+                    Some(top) if top.stamp != stamp => {}
+                    _ => break,
+                }
+                let top = heap.pop().expect("peeked entry");
+                if matroid.can_extend(&items, top.item) {
+                    stale.push(top.item);
+                }
             }
-            if top.stamp == stamp {
-                chosen = Some(top.item);
-                break;
+            if stale.is_empty() {
+                // The top is up to date (or the heap is empty): it is the
+                // argmax unless it cannot extend the selection.
+                match heap.pop() {
+                    None => break None,
+                    Some(top) if matroid.can_extend(&items, top.item) => break Some(top.item),
+                    Some(_) => continue,
+                }
             }
-            // Stale: re-evaluate and re-queue; the refreshed entry competes
-            // on heap order (gain, then smaller index), which reproduces the
-            // eager greedy's tie-breaking exactly.
-            heap.push(HeapEntry {
-                gain: objective.gain(&state, top.item),
-                item: top.item,
-                stamp,
-            });
-        }
+            // Refreshed entries compete on heap order (gain, then smaller
+            // index), which reproduces the eager greedy's tie-breaking.
+            let fresh = &mut fresh[..stale.len()];
+            objective.gains(&state, &stale, fresh);
+            heap.extend(
+                stale
+                    .iter()
+                    .zip(fresh.iter())
+                    .map(|(&item, &gain)| HeapEntry { gain, item, stamp }),
+            );
+        };
         let Some(item) = chosen else { break };
         objective.add(&mut state, item);
         items.push(item);
@@ -329,6 +374,54 @@ mod tests {
             }
         }
         assert!(r.value >= 0.5 * opt - 1e-12);
+    }
+
+    /// Counts `can_extend` calls (one per heap pop in the lazy greedy).
+    struct CountingMatroid {
+        inner: UniformMatroid,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl Matroid for CountingMatroid {
+        fn ground_size(&self) -> usize {
+            self.inner.ground_size()
+        }
+        fn is_independent(&self, items: &[usize]) -> bool {
+            self.inner.is_independent(items)
+        }
+        fn can_extend(&self, items: &[usize], new_item: usize) -> bool {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.can_extend(items, new_item)
+        }
+        fn rank_upper_bound(&self) -> usize {
+            self.inner.rank_upper_bound()
+        }
+    }
+
+    #[test]
+    fn lazy_stops_at_the_rank_without_draining_the_heap() {
+        // Disjoint singletons: the gain of every item is its own weight at
+        // every step, so each pick costs a handful of pops. Once three
+        // items are picked the base is full, and none of the 197 entries
+        // left in the heap can extend it: popping them is wasted work.
+        let n = 200;
+        let cov = Coverage {
+            covers: (0..n).map(|i| vec![i]).collect(),
+            weights: (0..n).map(|i| 1.0 + (i * 37 % n) as f64).collect(),
+        };
+        let m = CountingMatroid {
+            inner: UniformMatroid::new(n, 3),
+            calls: std::cell::Cell::new(0),
+        };
+        let cands: Vec<usize> = (0..n).collect();
+        let lazy = lazy_greedy_matroid(&cov, &m, &cands);
+        assert_eq!(lazy.items, greedy_matroid(&cov, &m.inner, &cands).items);
+        assert_eq!(lazy.items.len(), 3);
+        assert!(
+            m.calls.get() <= 3 * (REFRESH_BATCH + 1),
+            "{} pops",
+            m.calls.get()
+        );
     }
 
     #[test]

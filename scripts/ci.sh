@@ -106,6 +106,13 @@ FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench 
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench protocol
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench warmstart
 
+# The solver benches are the only runners of BiGreedy's eager greedy
+# (`use_lazy: false`) and the paper's linear τ sweep outside the test
+# suite; smoke them at the same cap so neither path can stop running.
+echo "==> bench smoke (BiGreedy lazy/eager + τ-search ablation, tiny sizes)"
+FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench bigreedy
+FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench ablation
+
 # Telemetry bench: asserts the warm-hit overhead budget (<1 µs), measures
 # the event front end's idle-connection fan-out (500 idle conns must cost
 # only the loop + worker threads), and writes the machine-readable

@@ -37,8 +37,9 @@
 //! | [`submodular`] | greedy & lazy greedy under matroid constraints |
 //! | [`service`] | resident query engine: catalog, solution cache, batch executor, TCP server |
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
-//! the paper-vs-measured reproduction record.
+//! See `docs/ARCHITECTURE.md` for the full system inventory and the
+//! algorithm ↔ paper map; one binary per paper figure under
+//! `crates/bench/src/bin/` regenerates the measured side.
 
 pub use fairhms_core as core;
 pub use fairhms_data as data;
