@@ -647,10 +647,9 @@ mod tests {
 
     #[test]
     fn db_max_of_the_wrong_length_is_a_typed_error() {
-        // Regression: a length mismatch was only a debug assertion, so a
-        // release build answered [0, 1, 2] with mhr 0.0 on this instance
-        // (db_max cut to 30 of 60 entries), where the answer is [3, 4, 7]
-        // with mhr 0.9949.
+        // A mismatch must be refused in every build profile: solving on
+        // with db_max cut to 30 of 60 entries answers [0, 1, 2] with
+        // mhr 0.0 here, where the answer is [3, 4, 7] with mhr 0.9949.
         let inst = lsac_instance(3, true);
         let cfg = BiGreedyConfig::paper_default(3, 2);
         let net = SampledNet::generate(inst.dim(), 60, cfg.seed);
