@@ -1,5 +1,5 @@
 //! Smoke benchmarks for the serving engine: cache-hit latency, cold-solve
-//! dispatch, batch fan-out, and wire-protocol codec. Sizes are tiny — the
+//! dispatch, and wire-protocol codec. Sizes are tiny — the
 //! point is CI-checkable relative numbers, not paper-scale measurements.
 
 use std::cell::Cell;
@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use fairhms_core::types::FairHmsInstance;
 use fairhms_data::{gen, Dataset};
 use fairhms_matroid::proportional_bounds;
-use fairhms_service::{protocol, BatchExecutor, Catalog, PreparedDataset, Query, QueryEngine};
+use fairhms_service::{protocol, Catalog, PreparedDataset, Query, QueryEngine};
 
 fn bench_dataset(n: usize) -> Dataset {
     let mut rng = StdRng::seed_from_u64(17);
@@ -95,24 +95,6 @@ fn bench_service(c: &mut Criterion) {
             })
         });
 
-    // Batch dispatch overhead at several worker counts (warm cache).
-    let queries: Vec<Query> = (0..32)
-        .map(|i| {
-            let mut q = Query::new("bench", 4 + (i % 4));
-            q.alg = ["bigreedy", "f-greedy"][i % 2].to_string();
-            q
-        })
-        .collect();
-    for workers in [1usize, 4] {
-        let executor = BatchExecutor::new(workers);
-        executor.execute_all(&eng, &queries); // warm the cache
-        group.throughput(Throughput::Elements(queries.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("warm_batch32", workers),
-            &executor,
-            |b, ex| b.iter(|| ex.execute_all(&eng, std::hint::black_box(&queries))),
-        );
-    }
     group.finish();
 
     // Wire codec round trip.

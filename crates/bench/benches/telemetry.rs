@@ -27,12 +27,10 @@ use fairhms_core::bigreedy::{bigreedy, db_max_of, BiGreedyConfig};
 use fairhms_core::types::FairHmsInstance;
 use fairhms_core::SampledNet;
 use fairhms_data::{gen, Dataset};
-use fairhms_geometry::soa::{set_kernel_backend, KernelBackend};
 use fairhms_matroid::proportional_bounds;
 use fairhms_obs::json;
 use fairhms_service::{
-    Catalog, FrontendKind, Query, QueryEngine, ServeOptions, Server, ServerConfig, TelemetryConfig,
-    WarmConfig, WireClient,
+    Catalog, Query, QueryEngine, Server, ServerConfig, TelemetryConfig, WarmConfig, WireClient,
 };
 
 const DATASET_N: usize = 2_000;
@@ -118,12 +116,11 @@ const SOLVER_D: usize = 4;
 const SOLVER_K: usize = 8;
 
 /// Solver-side kernel measurement: the cold `m × n` db_max pass and a
-/// cold BiGreedy solve at n = 20k under each kernel backend, asserting
-/// bit-identical answers along the way. Emitted as the `solver` section
-/// of `BENCH_service.json` — `points_per_sec` there means utility
+/// cold BiGreedy solve at n = 20k. Emitted as the `solver` section of
+/// `BENCH_service.json` — `points_per_sec` there means utility
 /// evaluations (row dot products) per second through the db_max pass.
-#[allow(clippy::type_complexity)]
-fn solver_kernels() -> ((f64, f64), (f64, f64), (f64, f64), u64) {
+/// Returns `(db_max_ms, evals_per_sec, bigreedy_cold_ms, m)`.
+fn solver_kernels() -> (f64, f64, f64, u64) {
     let mut rng = StdRng::seed_from_u64(63);
     let data = gen::anti_correlated_dataset(SOLVER_N, SOLVER_D, 3, &mut rng);
     let cfg = BiGreedyConfig::paper_default(SOLVER_K, SOLVER_D);
@@ -132,41 +129,18 @@ fn solver_kernels() -> ((f64, f64), (f64, f64), (f64, f64), u64) {
     let (l, h) = proportional_bounds(&data.group_sizes(), SOLVER_K, 0.1);
     let inst = FairHmsInstance::new(data, SOLVER_K, l, h).unwrap();
 
-    let mut db_ms = [0.0f64; 2];
-    let mut evals_per_sec = [0.0f64; 2];
-    let mut solve_ms = [0.0f64; 2];
-    let mut answers = Vec::new();
-    for (slot, backend) in [KernelBackend::Scalar, KernelBackend::Blocked]
-        .into_iter()
-        .enumerate()
-    {
-        set_kernel_backend(backend);
-        // Build the SoA view outside the clock: it is constructed once
-        // per prepared dataset, not per query — the pass being measured
-        // is the per-(net, dataset) extreme-value scan.
-        inst.data().soa();
-        let t = Instant::now();
-        let db = db_max_of(inst.data(), &net.vectors);
-        let secs = t.elapsed().as_secs_f64();
-        db_ms[slot] = secs * 1e3;
-        evals_per_sec[slot] = (m * SOLVER_N) as f64 / secs;
-        let t = Instant::now();
-        let sol = bigreedy(&inst, &cfg).unwrap();
-        solve_ms[slot] = t.elapsed().as_secs_f64() * 1e3;
-        answers.push((sol.indices, sol.mhr.map(f64::to_bits)));
-        std::hint::black_box(db);
-    }
-    set_kernel_backend(KernelBackend::from_env());
-    assert_eq!(
-        answers[0], answers[1],
-        "scalar and blocked BiGreedy answers diverged"
-    );
-    (
-        (db_ms[0], db_ms[1]),
-        (evals_per_sec[0], evals_per_sec[1]),
-        (solve_ms[0], solve_ms[1]),
-        m as u64,
-    )
+    // Build the SoA view outside the clock: it is constructed once per
+    // prepared dataset, not per query — the pass being measured is the
+    // per-(net, dataset) extreme-value scan.
+    inst.data().soa();
+    let t = Instant::now();
+    let db = db_max_of(inst.data(), &net.vectors);
+    let secs = t.elapsed().as_secs_f64();
+    std::hint::black_box(db);
+    let t = Instant::now();
+    std::hint::black_box(bigreedy(&inst, &cfg).unwrap());
+    let solve_ms = t.elapsed().as_secs_f64() * 1e3;
+    (secs * 1e3, (m * SOLVER_N) as f64 / secs, solve_ms, m as u64)
 }
 
 /// Mutation-path measurement for the `mutation` section of
@@ -276,25 +250,21 @@ fn thread_count() -> u64 {
         .unwrap_or(0)
 }
 
-/// Idle-connection fan-out on the event front end: opens `connections`
+/// Idle-connection fan-out on the event loop: opens `connections`
 /// pinged-idle clients against a live server and reports
 /// `(threads_grown, ping_us_under_fanout)` — how many OS threads the
 /// fan-out cost (the loop + worker pool only; idle sockets are poll-set
 /// entries) and the PING round-trip latency through the loaded poll set.
 fn idle_fanout(connections: usize) -> (u64, f64) {
     let before = thread_count();
-    let server = Server::spawn_with(
+    let server = Server::spawn(
         Arc::new(QueryEngine::new(Arc::new(Catalog::new()), 16)),
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
         },
-        ServeOptions {
-            frontend: FrontendKind::Event,
-            ..ServeOptions::default()
-        },
     )
-    .expect("spawn event server");
+    .expect("spawn server");
     let mut idle = Vec::with_capacity(connections);
     for _ in 0..connections {
         let mut c = WireClient::connect(server.addr()).expect("connect");
@@ -344,12 +314,10 @@ fn main() {
          ping {ping_us:.1} µs under load"
     );
 
-    let ((db_scalar_ms, db_blocked_ms), (evals_scalar, evals_blocked), (bg_scalar, bg_blocked), m) =
-        solver_kernels();
+    let (db_ms, evals_per_sec, bigreedy_ms, m) = solver_kernels();
     println!(
-        "solver kernels (n={SOLVER_N}, d={SOLVER_D}, m={m}): db_max {db_scalar_ms:.2} ms scalar \
-         vs {db_blocked_ms:.2} ms blocked; bigreedy {bg_scalar:.0} ms scalar vs {bg_blocked:.0} \
-         ms blocked"
+        "solver kernels (n={SOLVER_N}, d={SOLVER_D}, m={m}): db_max {db_ms:.2} ms; \
+         bigreedy {bigreedy_ms:.0} ms"
     );
 
     let mp = mutation_profile();
@@ -390,12 +358,9 @@ fn main() {
                 .u64("dataset_points", SOLVER_N as u64)
                 .u64("dim", SOLVER_D as u64)
                 .u64("net_size", m)
-                .f64("db_max_ms_scalar", db_scalar_ms)
-                .f64("db_max_ms_blocked", db_blocked_ms)
-                .f64("points_per_sec_scalar", evals_scalar)
-                .f64("points_per_sec", evals_blocked)
-                .f64("bigreedy_cold_ms_scalar", bg_scalar)
-                .f64("bigreedy_cold_ms", bg_blocked)
+                .f64("db_max_ms", db_ms)
+                .f64("points_per_sec", evals_per_sec)
+                .f64("bigreedy_cold_ms", bigreedy_ms)
                 .build(),
         )
         .raw(

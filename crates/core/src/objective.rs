@@ -15,7 +15,6 @@
 //! sums bit-identical to [`IncrementalObjective::gain`].
 
 use fairhms_data::Dataset;
-use fairhms_geometry::soa::{kernel_backend, KernelBackend};
 use fairhms_geometry::vecmath::dot;
 use fairhms_geometry::EPS;
 use fairhms_submodular::IncrementalObjective;
@@ -69,39 +68,26 @@ impl<'a> TruncatedMhrObjective<'a> {
         let n = data.len();
         let scores = if cache && n.saturating_mul(m) <= CACHE_LIMIT {
             let mut s = Vec::with_capacity((n * m).max(OWN_MAPPING_ENTRIES));
-            match kernel_backend() {
-                KernelBackend::Scalar => {
-                    for i in 0..n {
-                        let p = data.point(i);
-                        for (u, &dbm) in net.iter().zip(db_max) {
-                            s.push(normalized_score(p, u, dbm));
-                        }
-                    }
-                }
-                KernelBackend::Blocked => {
-                    // Tile-outer build: for each 64-row tile, sweep all
-                    // utilities while the tile (a few KB) and its slice of
-                    // the row-major cache (64 rows × m) stay cache-
-                    // resident — a utility-outer sweep would re-fetch the
-                    // whole n × m cache once per utility through the
-                    // stride-m scatter. Each raw dot is bitwise-equal to
-                    // the scalar loop (see fairhms_geometry::soa), so the
-                    // cache contents are identical across backends. Each
-                    // tile's rows are zero-extended just before they are
-                    // written, while they are hot in cache.
-                    let mut acc = [0.0; fairhms_geometry::soa::BLOCK];
-                    let soa = data.soa();
-                    for b in 0..soa.num_tiles() {
-                        let start = b * fairhms_geometry::soa::BLOCK;
-                        let rows = fairhms_geometry::soa::BLOCK.min(n - start);
-                        s.resize((start + rows) * m, 0.0);
-                        let tile = &mut s[start * m..];
-                        for (u_idx, (u, &dbm)) in net.iter().zip(db_max).enumerate() {
-                            let rows = soa.dot_tile(b, u, &mut acc);
-                            for (r, &raw) in acc[..rows].iter().enumerate() {
-                                tile[r * m + u_idx] = normalize_raw(raw, dbm);
-                            }
-                        }
+            // Tile-outer build: for each 64-row tile, sweep all utilities
+            // while the tile (a few KB) and its slice of the row-major
+            // cache (64 rows × m) stay cache-resident — a utility-outer
+            // sweep would re-fetch the whole n × m cache once per utility
+            // through the stride-m scatter. Each raw dot is bitwise-equal
+            // to the scalar `dot` (see fairhms_geometry::soa), so every
+            // entry equals `normalized_score` on its row. Each tile's rows
+            // are zero-extended just before they are written, while they
+            // are hot in cache.
+            let mut acc = [0.0; fairhms_geometry::soa::BLOCK];
+            let soa = data.soa();
+            for b in 0..soa.num_tiles() {
+                let start = b * fairhms_geometry::soa::BLOCK;
+                let rows = fairhms_geometry::soa::BLOCK.min(n - start);
+                s.resize((start + rows) * m, 0.0);
+                let tile = &mut s[start * m..];
+                for (u_idx, (u, &dbm)) in net.iter().zip(db_max).enumerate() {
+                    let rows = soa.dot_tile(b, u, &mut acc);
+                    for (r, &raw) in acc[..rows].iter().enumerate() {
+                        tile[r * m + u_idx] = normalize_raw(raw, dbm);
                     }
                 }
             }
@@ -331,19 +317,16 @@ mod tests {
     }
 
     #[test]
-    fn score_cache_is_bitwise_identical_across_kernel_backends() {
-        use fairhms_geometry::soa::{kernel_backend, set_kernel_backend, KernelBackend};
+    fn score_cache_is_bitwise_identical_to_normalized_score() {
         let (ds, net, db_max) = setup();
-        let prev = kernel_backend();
-        set_kernel_backend(KernelBackend::Scalar);
-        let a = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8, true);
-        set_kernel_backend(KernelBackend::Blocked);
-        let b = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8, true);
-        set_kernel_backend(prev);
-        let (sa, sb) = (a.scores.as_ref().unwrap(), b.scores.as_ref().unwrap());
-        assert_eq!(sa.len(), sb.len());
-        for (x, y) in sa.iter().zip(sb) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8, true);
+        let cache = obj.scores.as_ref().unwrap();
+        assert_eq!(cache.len(), ds.len() * net.len());
+        for i in 0..ds.len() {
+            for (u_idx, (u, &dbm)) in net.iter().zip(&db_max).enumerate() {
+                let want = normalized_score(ds.point(i), u, dbm);
+                assert_eq!(cache[i * net.len() + u_idx].to_bits(), want.to_bits());
+            }
         }
     }
 

@@ -4,8 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use fairhms_geometry::soa::{kernel_backend, KernelBackend, SoaMatrix};
-use fairhms_geometry::vecmath;
+use fairhms_geometry::soa::SoaMatrix;
 
 /// Process-wide count of [`Dataset`] deep copies (`Clone::clone` calls).
 ///
@@ -229,54 +228,35 @@ impl Dataset {
             .get_or_init(|| SoaMatrix::from_rows(&self.points, self.dim))
     }
 
-    /// `max_{p ∈ D} ⟨u, p⟩` through the active kernel backend.
+    /// `max_{p ∈ D} ⟨u, p⟩` through the blocked kernels.
     ///
-    /// Bitwise-equal across backends: the blocked kernel performs each
-    /// row's multiply-adds and the `f64::max` fold in exactly the scalar
-    /// order (see [`fairhms_geometry::soa`]). Returns `0.0` on an empty
-    /// dataset.
+    /// Bitwise-equal to the scalar fold `vecmath::max_utility`: each
+    /// row's multiply-adds and the `f64::max` fold run in exactly the
+    /// scalar order (see [`fairhms_geometry::soa`]). Returns `0.0` on an
+    /// empty dataset.
     pub fn max_dot(&self, u: &[f64]) -> f64 {
-        match kernel_backend() {
-            KernelBackend::Scalar => vecmath::max_utility(&self.points, self.dim, u),
-            KernelBackend::Blocked => self.soa().max_dot(u),
-        }
+        self.soa().max_dot(u)
     }
 
     /// `max_{p ∈ D} ⟨u, p⟩` for every utility in `us` — the `m × n`
-    /// extreme-value sweep of BiGreedy setup, through the active kernel
-    /// backend.
-    ///
-    /// Under the blocked backend this is the cache-blocked batched form:
-    /// the point matrix streams through memory once for all utilities
-    /// instead of once per utility (see
+    /// extreme-value sweep of BiGreedy setup, in cache-blocked batched
+    /// form: the point matrix streams through memory once for all
+    /// utilities instead of once per utility (see
     /// [`fairhms_geometry::soa::SoaMatrix::max_dot_many`]). Bitwise-equal
-    /// to mapping [`Dataset::max_dot`] over `us` under either backend.
+    /// to mapping [`Dataset::max_dot`] over `us`.
     pub fn max_dot_many(&self, us: &[Vec<f64>]) -> Vec<f64> {
-        match kernel_backend() {
-            KernelBackend::Scalar => us
-                .iter()
-                .map(|u| vecmath::max_utility(&self.points, self.dim, u))
-                .collect(),
-            KernelBackend::Blocked => {
-                let mut out = vec![0.0; us.len()];
-                self.soa().max_dot_many(us, &mut out);
-                out
-            }
-        }
+        let mut out = vec![0.0; us.len()];
+        self.soa().max_dot_many(us, &mut out);
+        out
     }
 
-    /// Writes `⟨p_i, u⟩` for every row `i` into `out` through the active
-    /// kernel backend (bitwise-equal across backends).
+    /// Writes `⟨p_i, u⟩` for every row `i` into `out` (each bitwise-equal
+    /// to `vecmath::dot` on the row).
     ///
     /// # Panics
     /// Panics if `out.len() != self.len()`.
     pub fn dot_batch(&self, u: &[f64], out: &mut [f64]) {
-        match kernel_backend() {
-            KernelBackend::Scalar => {
-                fairhms_geometry::soa::dot_batch_rows(&self.points, self.dim, u, out)
-            }
-            KernelBackend::Blocked => self.soa().dot_batch(u, out),
-        }
+        self.soa().dot_batch(u, out)
     }
 
     /// Group label of row `i`.
@@ -565,6 +545,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fairhms_geometry::vecmath;
 
     /// Serializes the tests that read the global deep-clone counter: one
     /// test's deliberate clone must not land inside another's window.
@@ -658,8 +639,8 @@ mod tests {
     fn soa_view_matches_scalar_and_resets_on_normalize() {
         let mut d = tiny();
         let u = [0.3, 0.7];
-        // Build the tiled view, then check both dispatch paths agree with
-        // the scalar oracle bitwise.
+        // Build the tiled view, then check it and the dataset methods
+        // agree with the scalar oracle bitwise.
         let expect = vecmath::max_utility(d.points_flat(), d.dim(), &u);
         assert_eq!(d.soa().max_dot(&u).to_bits(), expect.to_bits());
         assert_eq!(d.max_dot(&u).to_bits(), expect.to_bits());

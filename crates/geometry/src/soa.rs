@@ -21,17 +21,10 @@
 //! ascending row order from `0.0`, exactly like
 //! [`crate::vecmath::max_utility`]. Reordering happens only *across* rows,
 //! never within one, so results are bitwise-equal to the scalar oracle —
-//! pinned by `tests/kernel_properties.rs` and the service-level
-//! `kernel_equivalence` suite.
-//!
-//! The active backend is a process global (see [`kernel_backend`]): callers
-//! like `Dataset::max_dot` dispatch through it so the scalar path stays
-//! reachable as a test/CI axis (`FAIRHMS_TEST_KERNEL=scalar`), mirroring
-//! the `FAIRHMS_TEST_SHARDS`/`CODEC`/`WARMSTART` axes.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-use crate::vecmath::dot;
+//! pinned by `tests/kernel_properties.rs`. The dataset-wide sweeps
+//! (`Dataset::max_dot`, `max_dot_many`, `dot_batch`) and the objective's
+//! score cache always run on these kernels; the scalar
+//! [`crate::vecmath::max_utility`] fold survives only as the tests' oracle.
 
 /// Rows per SoA tile.
 ///
@@ -41,74 +34,6 @@ use crate::vecmath::dot;
 /// (2/4/8 f64 lanes). Larger tiles spill the per-row accumulator array out
 /// of registers; smaller ones waste the loop overhead amortization.
 pub const BLOCK: usize = 64;
-
-/// Which kernel implementation the workspace routes hot-path evaluation
-/// through. See [`kernel_backend`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelBackend {
-    /// Row-major scalar loops (`vecmath::dot` per point) — the oracle.
-    Scalar,
-    /// Block-tiled SoA kernels ([`SoaMatrix`]) — bitwise-equal, faster.
-    Blocked,
-}
-
-impl KernelBackend {
-    /// Stable lowercase name (used in logs and bench output).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelBackend::Scalar => "scalar",
-            KernelBackend::Blocked => "blocked",
-        }
-    }
-
-    /// Backend selected by the `FAIRHMS_TEST_KERNEL` environment variable:
-    /// `scalar` forces the oracle path, anything else (or unset) selects
-    /// the blocked kernels.
-    pub fn from_env() -> Self {
-        match std::env::var("FAIRHMS_TEST_KERNEL") {
-            Ok(v) if v.eq_ignore_ascii_case("scalar") => KernelBackend::Scalar,
-            _ => KernelBackend::Blocked,
-        }
-    }
-}
-
-const BACKEND_UNSET: u8 = 0;
-const BACKEND_SCALAR: u8 = 1;
-const BACKEND_BLOCKED: u8 = 2;
-
-static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
-
-/// The process-wide kernel backend.
-///
-/// Initialized lazily from `FAIRHMS_TEST_KERNEL` on first call; tests and
-/// benches may flip it at runtime via [`set_kernel_backend`]. Because both
-/// backends are bitwise-equal by contract, a concurrent flip is harmless —
-/// any interleaving of backends produces the same answers.
-pub fn kernel_backend() -> KernelBackend {
-    // ordering: standalone backend flag; no data is published through
-    // it (both kernels read the same immutable matrix).
-    match BACKEND.load(Ordering::Relaxed) {
-        BACKEND_SCALAR => KernelBackend::Scalar,
-        BACKEND_BLOCKED => KernelBackend::Blocked,
-        _ => {
-            let b = KernelBackend::from_env();
-            set_kernel_backend(b);
-            b
-        }
-    }
-}
-
-/// Overrides the process-wide kernel backend (test/bench hook — the
-/// equivalence suites and the scalar-vs-blocked bench need both backends
-/// within one process).
-pub fn set_kernel_backend(backend: KernelBackend) {
-    let v = match backend {
-        KernelBackend::Scalar => BACKEND_SCALAR,
-        KernelBackend::Blocked => BACKEND_BLOCKED,
-    };
-    // ordering: standalone backend flag; see kernel_backend().
-    BACKEND.store(v, Ordering::Relaxed);
-}
 
 /// Block-tiled column-major view of an `n × dim` row-major matrix.
 ///
@@ -401,24 +326,6 @@ impl SoaMatrix {
     }
 }
 
-/// Scalar reference for a batched dot pass: `out[i] = ⟨row_i, u⟩` via
-/// [`crate::vecmath::dot`] per row. The oracle [`SoaMatrix::dot_batch`] is
-/// pinned against.
-///
-/// # Panics
-/// Panics if `out.len()` is not the number of rows.
-pub fn dot_batch_rows(points: &[f64], dim: usize, u: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(u.len(), dim, "dot_batch_rows: dimension mismatch");
-    assert_eq!(
-        out.len(),
-        points.len() / dim.max(1),
-        "dot_batch_rows: output length mismatch"
-    );
-    for (o, p) in out.iter_mut().zip(points.chunks_exact(dim)) {
-        *o = dot(p, u);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,17 +371,11 @@ mod tests {
                 }
                 let mut blocked = vec![0.0; n];
                 soa.dot_batch(&u, &mut blocked);
-                let mut scalar = vec![0.0; n];
-                dot_batch_rows(&pts, dim, &u, &mut scalar);
                 for i in 0..n {
                     assert_eq!(
                         blocked[i].to_bits(),
-                        scalar[i].to_bits(),
+                        dot(&pts[i * dim..(i + 1) * dim], &u).to_bits(),
                         "dot_batch mismatch at n={n} dim={dim} row {i}"
-                    );
-                    assert_eq!(
-                        blocked[i].to_bits(),
-                        dot(&pts[i * dim..(i + 1) * dim], &u).to_bits()
                     );
                 }
             }
@@ -493,17 +394,5 @@ mod tests {
             soa.max_dot(&u).to_bits(),
             vecmath::max_utility(&pts, 2, &u).to_bits()
         );
-    }
-
-    #[test]
-    fn backend_env_parse_and_runtime_override() {
-        assert_eq!(KernelBackend::Scalar.name(), "scalar");
-        assert_eq!(KernelBackend::Blocked.name(), "blocked");
-        let prev = kernel_backend();
-        set_kernel_backend(KernelBackend::Scalar);
-        assert_eq!(kernel_backend(), KernelBackend::Scalar);
-        set_kernel_backend(KernelBackend::Blocked);
-        assert_eq!(kernel_backend(), KernelBackend::Blocked);
-        set_kernel_backend(prev);
     }
 }

@@ -131,19 +131,56 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Feeds the wall-clock duration of one [`QueryEngine::execute`] call
-/// into the always-on execute-time EWMA on drop — every outcome counts
-/// (hits, cold solves, errors), because each occupies a worker for that
-/// long and the EWMA exists to price `retry_after_ms` back-off advice.
+/// Counts one answered query: `total_queries` once [`ExecTimeNote::count`]
+/// runs, and on drop the wall-clock duration of the execution into the
+/// always-on execute-time EWMA — every outcome counts (hits, cold solves,
+/// errors), because each occupies a worker for that long and the EWMA
+/// exists to price `retry_after_ms` back-off advice. A cache-only probe
+/// counts only on a hit: its misses are counted by the execution that
+/// follows on the worker pool.
 struct ExecTimeNote<'a> {
     metrics: &'a ServiceMetrics,
     t: Instant,
+    counted: bool,
+}
+
+impl ExecTimeNote<'_> {
+    fn count(&mut self) {
+        if !self.counted {
+            self.counted = true;
+            self.metrics.total_queries.inc();
+        }
+    }
 }
 
 impl Drop for ExecTimeNote<'_> {
     fn drop(&mut self) {
-        self.metrics
-            .note_execute_micros(self.t.elapsed().as_micros().min(u64::MAX as u128) as u64);
+        if self.counted {
+            self.metrics
+                .note_execute_micros(self.t.elapsed().as_micros().min(u64::MAX as u128) as u64);
+        }
+    }
+}
+
+/// One execution's canonical query and resolved cache coordinates, plus
+/// the stage timings it accumulates.
+struct Lookup<'a> {
+    note: ExecTimeNote<'a>,
+    stages: StageTimings,
+    q: Query,
+    prep: Arc<crate::catalog::PreparedDataset>,
+    digest: u64,
+    key: u64,
+}
+
+impl Lookup<'_> {
+    fn response(&self, answer: Arc<Answer>, cached: bool) -> QueryResponse {
+        QueryResponse {
+            answer,
+            cached,
+            micros: self.note.t.elapsed().as_micros() as u64,
+            stages: self.note.metrics.enabled().then_some(self.stages),
+        }
     }
 }
 
@@ -297,18 +334,75 @@ impl QueryEngine {
     /// `note_hit` for every `cached=true` response, one `note_miss` per
     /// cold solve attempt — so `hit_rate` reflects solves saved even
     /// though the single-flight path may consult the cache several times.
-    #[allow(clippy::disallowed_methods)] // see the R5 waivers below
     pub fn execute(&self, query: &Query) -> Result<QueryResponse, ServiceError> {
-        // fairhms-lint: allow(R5) always-on execute EWMA: retry_after_ms
-        // back-off advice must price worker time with telemetry off too.
-        let t = Instant::now();
-        self.metrics.total_queries.inc();
-        let _exec_note = ExecTimeNote {
-            metrics: &self.metrics,
-            t,
-        };
+        let mut l = self.lookup(query, true)?;
+        if let Some(hit) = self.peek(&mut l) {
+            return Ok(hit);
+        }
         let rec = self.metrics.recorder();
-        let mut stages = StageTimings::default();
+        // Claim the solve or wait for whoever holds the claim; each wait
+        // records a span and is followed by a cache re-check.
+        loop {
+            let mut in_flight = lock_or_recover(&self.in_flight);
+            if in_flight.insert(l.key) {
+                break;
+            }
+            let waited = rec.span(&self.metrics.flight_wait);
+            while in_flight.contains(&l.key) {
+                in_flight = wait_or_recover(&self.in_flight_done, in_flight);
+            }
+            drop(in_flight);
+            l.stages.flight_wait_ns += waited.stop().unwrap_or(0);
+            // The claim holder either published an answer or failed (in
+            // which case we claim and retry).
+            if let Some(hit) = self.peek(&mut l) {
+                return Ok(hit);
+            }
+        }
+        let _guard = FlightGuard {
+            engine: self,
+            key: l.key,
+        };
+        // The previous claim holder may have published between our cache
+        // miss and our claim; without this re-check we would re-solve an
+        // already-cached query cold.
+        if let Some(hit) = self.peek(&mut l) {
+            return Ok(hit);
+        }
+        self.cache.note_miss();
+        let answer = Arc::new(self.solve_cold(&l.q, &l.prep, &mut l.stages)?);
+        let resp = l.response(Arc::clone(&answer), false);
+        self.cache
+            .insert(l.key, l.prep.epoch, l.digest, l.q, answer);
+        Ok(resp)
+    }
+
+    /// Answers `query` from the solution cache alone, or `None` when it
+    /// would need a solve (or fails, e.g. on an unknown dataset) — the
+    /// event loop's inline fast path, which hands every `None` to the
+    /// worker pool's [`QueryEngine::execute`]. A hit is accounted exactly
+    /// as `execute` accounts one (`total_queries`, `note_hit`, the
+    /// execute-time EWMA); a miss is not counted here.
+    pub(crate) fn execute_cached(&self, query: &Query) -> Option<QueryResponse> {
+        let mut l = self.lookup(query, false).ok()?;
+        self.peek(&mut l)
+    }
+
+    /// Starts one execution: stamps the clock, canonicalizes `query` and
+    /// resolves its cache key. `count` counts the query up front; an
+    /// uncounted lookup is counted by its first cache hit.
+    #[allow(clippy::disallowed_methods)] // see the R5 waiver inside
+    fn lookup(&self, query: &Query, count: bool) -> Result<Lookup<'_>, ServiceError> {
+        let mut note = ExecTimeNote {
+            metrics: &self.metrics,
+            // fairhms-lint: allow(R5) always-on execute EWMA: retry_after_ms
+            // back-off advice must price worker time with telemetry off too.
+            t: Instant::now(),
+            counted: false,
+        };
+        if count {
+            note.count();
+        }
         let q = query.canonicalized();
         // Resolve the dataset first: the cache key folds in its
         // registration epoch, so answers cached against a replaced
@@ -319,57 +413,28 @@ impl QueryEngine {
         // exactly the answers they could have changed.
         let digest = prep.digest_for(q.skyline);
         let key = q.fingerprint_keyed(prep.epoch, digest);
-        let hit = |answer, stages: StageTimings| {
-            self.cache.note_hit();
-            Ok(QueryResponse {
-                answer,
-                cached: true,
-                micros: t.elapsed().as_micros() as u64,
-                stages: rec.is_enabled().then_some(stages),
-            })
-        };
-        // Each cache consultation and each single-flight wait records a
-        // span; re-check iterations accumulate into the same stages.
-        loop {
-            let lookup = rec.span(&self.metrics.cache_lookup);
-            let peeked = self.cache.peek(key, prep.epoch, digest, &q);
-            stages.cache_lookup_ns += lookup.stop().unwrap_or(0);
-            if let Some(answer) = peeked {
-                return hit(answer, stages);
-            }
-            // Claim the solve or wait for whoever holds the claim.
-            let mut in_flight = lock_or_recover(&self.in_flight);
-            if in_flight.insert(key) {
-                break;
-            }
-            let waited = rec.span(&self.metrics.flight_wait);
-            while in_flight.contains(&key) {
-                in_flight = wait_or_recover(&self.in_flight_done, in_flight);
-            }
-            stages.flight_wait_ns += waited.stop().unwrap_or(0);
-            // Re-check the cache: the claim holder either published an
-            // answer or failed (in which case we claim and retry).
-        }
-        let _guard = FlightGuard { engine: self, key };
-        // The previous claim holder may have published between our cache
-        // miss and our claim; without this re-check we would re-solve an
-        // already-cached query cold.
-        let lookup = rec.span(&self.metrics.cache_lookup);
-        let peeked = self.cache.peek(key, prep.epoch, digest, &q);
-        stages.cache_lookup_ns += lookup.stop().unwrap_or(0);
-        if let Some(answer) = peeked {
-            return hit(answer, stages);
-        }
-        self.cache.note_miss();
-        let answer = Arc::new(self.solve_cold(&q, &prep, &mut stages)?);
-        self.cache
-            .insert(key, prep.epoch, digest, q, Arc::clone(&answer));
-        Ok(QueryResponse {
-            answer,
-            cached: false,
-            micros: t.elapsed().as_micros() as u64,
-            stages: rec.is_enabled().then_some(stages),
+        Ok(Lookup {
+            note,
+            stages: StageTimings::default(),
+            q,
+            prep,
+            digest,
+            key,
         })
+    }
+
+    /// One solution-cache consultation, recorded as a `cache_lookup`
+    /// span; a hit counts the query and becomes its `cached=true`
+    /// response.
+    fn peek(&self, l: &mut Lookup<'_>) -> Option<QueryResponse> {
+        let rec = self.metrics.recorder();
+        let span = rec.span(&self.metrics.cache_lookup);
+        let peeked = self.cache.peek(l.key, l.prep.epoch, l.digest, &l.q);
+        l.stages.cache_lookup_ns += span.stop().unwrap_or(0);
+        let answer = peeked?;
+        l.note.count();
+        self.cache.note_hit();
+        Some(l.response(answer, true))
     }
 
     /// Solves `q` from scratch against the prepared dataset, consulting
@@ -570,6 +635,26 @@ mod tests {
             cold.answer.mhr.map(f64::to_bits),
             warm.answer.mhr.map(f64::to_bits)
         );
+        let st = eng.cache_stats();
+        assert_eq!((st.hits, st.misses), (1, 1));
+    }
+
+    #[test]
+    fn cache_only_probe_answers_and_counts_hits_only() {
+        let eng = engine();
+        let q = Query::new("toy", 3);
+        let m = eng.metrics();
+        // A miss (and an unknown dataset) is left to `execute`: nothing
+        // is counted.
+        assert!(eng.execute_cached(&q).is_none());
+        assert!(eng.execute_cached(&Query::new("absent", 3)).is_none());
+        assert_eq!(m.total_queries.get(), 0);
+        assert_eq!(m.avg_execute_micros(), 0);
+        let cold = eng.execute(&q).unwrap();
+        let hit = eng.execute_cached(&q).expect("cached after the solve");
+        assert!(hit.cached);
+        assert_eq!(hit.answer, cold.answer);
+        assert_eq!(m.total_queries.get(), 2);
         let st = eng.cache_stats();
         assert_eq!((st.hits, st.misses), (1, 1));
     }

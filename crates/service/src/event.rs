@@ -1,25 +1,31 @@
 //! The readiness-driven front end: one `poll(2)` loop, many connections.
 //!
-//! Selected via [`crate::server::FrontendKind::Event`]. Where the
-//! threaded front end spends one blocked OS thread per connection, this
-//! loop owns every socket at once:
+//! The loop owns every socket at once:
 //!
 //! * a single thread polls the listener, a self-pipe
 //!   ([`crate::reactor`]), and every connection for readiness — an idle
 //!   connection costs one poll-set entry, not a thread, and shutdown is
-//!   a wake, not a 200 ms timeout expiry;
+//!   a wake, not a timeout expiry;
 //! * each connection is a small state machine ([`Conn`]) that buffers
 //!   raw bytes, carves them into request lines (batch bodies included),
 //!   and queues encoded response frames for readiness-driven writes —
 //!   one slow or byte-at-a-time client can never stall another;
-//! * solves never run on the loop thread: they are admitted into a
-//!   bounded `SolveQueue` and executed by a resident `WorkerPool`,
-//!   whose completions come back over a channel followed by a wake. The
-//!   heavy `LOAD` admin verb (disk read + dataset preparation) rides the
-//!   same pool — bypassing the queue bound, since control verbs are
-//!   never shed — while the issuing connection parks its input behind a
-//!   barrier so pipelined requests keep their sequential order; light
-//!   control verbs (PING, STATS, …) answer inline on the loop.
+//! * cheap work answers inline on the loop: the light control verbs
+//!   (PING, STATS, …), `QUERY` cache hits (a cache-only probe,
+//!   [`QueryEngine::execute_cached`]), and `APPEND`/`DELETE`. A pool
+//!   round trip costs two cross-thread hops (loop → queue → worker →
+//!   channel → wake → loop), more than any of these. A mutation holds
+//!   the catalog write lock for its whole repair, which every query's
+//!   dataset lookup waits on anyway, so running it inline stalls nothing
+//!   that was not already stalled;
+//! * solves never run on the loop thread: a cache miss and every batch
+//!   slot are admitted into a bounded `SolveQueue` and executed by a
+//!   resident `WorkerPool`, whose completions come back over a channel
+//!   followed by a wake. The heavy `LOAD` admin verb (disk read +
+//!   dataset preparation) rides the same pool — bypassing the queue
+//!   bound, since operator verbs are never shed — while the issuing
+//!   connection parks its input behind a barrier so pipelined requests
+//!   keep their sequential order.
 //!
 //! Admission control happens at the loop, where load first becomes
 //! visible: the connection cap ([`ServeOptions::max_conns`]), the
@@ -28,16 +34,18 @@
 //! the solve-queue bound all shed with a typed `ERR busy` carrying
 //! `retry_after_ms` advice priced from the execute-time EWMA
 //! ([`crate::metrics::ServiceMetrics::retry_after_ms`]). Every shed
-//! increments `shed.total`.
+//! increments `shed.total`. A cache hit is checked against the
+//! per-connection quota but never enters the queue, so the queue bound
+//! and the queue deadline do not apply to it.
 //!
-//! The wire contract is bit-identical to the threaded front end (pinned
-//! by `tests/frontend_equivalence.rs`): the protocol mirror rules —
-//! line/batch size limits, lossy UTF-8 per complete line, batch bodies
-//! consumed fully before erroring, HELLO acknowledged in the previous
-//! codec — are shared with [`crate::server`] or reimplemented here to
-//! the letter. Responses per connection are delivered in request order
-//! (streamed batch frames in completion order within their batch slot),
-//! exactly as a sequential connection thread would produce them.
+//! Protocol rules: line/batch size limits, lossy UTF-8 per complete
+//! line, batch bodies consumed fully before erroring, HELLO
+//! acknowledged in the previous codec. Responses per connection are
+//! delivered in request order (streamed batch frames in completion
+//! order within their batch slot), exactly as a sequential server would
+//! produce them. One exception: a mutation runs as soon as it is read,
+//! so a query pipelined *before* it that is still queued for a solve
+//! may observe the mutated data.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -91,8 +99,8 @@ impl Shared {
     }
 }
 
-/// Encodes one response with a codec of `kind`, falling back exactly as
-/// the threaded path does (see [`server::encode_into`]).
+/// Encodes one response with a codec of `kind`, falling back to a typed
+/// `ERR` frame when it is not encodable (see [`server::encode_into`]).
 fn encode(kind: CodecKind, resp: &Response, m: &ServiceMetrics) -> Vec<u8> {
     let mut frame = Vec::new();
     let codec = kind.new_codec();
@@ -141,8 +149,8 @@ impl BatchEntry {
 /// pipelining: an entry's frames reach the out-buffer only once every
 /// earlier entry has fully delivered.
 enum Entry {
-    /// Already-encoded frame(s): light control verbs, HELLO acks,
-    /// protocol errors, admission sheds.
+    /// Already-encoded frame(s): control verbs and mutations answered
+    /// inline, cache hits, HELLO acks, protocol errors, admission sheds.
     Ready(Vec<u8>),
     /// A single `QUERY` awaiting its solve. `kind` snapshots the codec
     /// at admit time, so a pipelined `HELLO` behind it re-codes only
@@ -191,7 +199,7 @@ struct Conn {
     /// stops carving input (and drops read interest, so TCP backpressure
     /// bounds buffering): requests pipelined behind a `LOAD` — typically
     /// queries against the dataset being loaded — are admitted only once
-    /// it completes, exactly as the sequential threaded path orders them.
+    /// it completes, exactly as a sequential server orders them.
     control_inflight: usize,
     next_ticket: u64,
     /// Set by `SHUTDOWN` and by peer EOF: stop reading; the connection is
@@ -251,9 +259,8 @@ impl Conn {
     }
 
     /// Drains the socket into the in-buffer and processes every complete
-    /// line. `Err(())` means the connection must be dropped (peer closed,
-    /// I/O error, or an abuse limit hit — same conditions that make the
-    /// threaded path return an error and drop).
+    /// line. `Err(())` means the connection must be dropped (I/O error,
+    /// or an abuse limit hit).
     fn on_readable(&mut self, sh: &Shared) -> Result<Outcome, ()> {
         let mut buf = [0u8; READ_CHUNK];
         let mut saw_eof = false;
@@ -271,10 +278,9 @@ impl Conn {
         }
         let outcome = self.process_input(sh)?;
         if saw_eof {
-            // A half-written request dies with the peer (the threaded
-            // path sees EOF mid-line and returns), but everything already
-            // admitted still answers into the out-buffer; close once the
-            // pending FIFO and the out-buffer have both drained.
+            // A half-written request dies with the peer, but everything
+            // already admitted still answers into the out-buffer; close
+            // once the pending FIFO and the out-buffer have both drained.
             self.closing = true;
         }
         Ok(outcome)
@@ -291,8 +297,8 @@ impl Conn {
                 break;
             };
             let end = start + pos + 1;
-            // Mirror of the threaded per-line limit (which counts the
-            // terminator): an oversized line drops the connection.
+            // The per-line limit counts the terminator; an oversized line
+            // drops the connection.
             if end - start > MAX_LINE_BYTES {
                 return Err(());
             }
@@ -320,8 +326,8 @@ impl Conn {
         if let Some(mut c) = self.collecting.take() {
             c.bytes += raw.len();
             if c.bytes > MAX_BATCH_BYTES {
-                // Connection-fatal, like the threaded path: dropping
-                // mid-batch desynchronizes the connection anyway.
+                // Connection-fatal: dropping mid-batch desynchronizes the
+                // connection anyway.
                 return Err(());
             }
             c.lines
@@ -365,15 +371,7 @@ impl Conn {
                 return Ok(Outcome::Shutdown);
             }
             Ok(Request::Query(q)) => self.admit_single(q, sh),
-            Ok(Request::Load { name, path }) => {
-                self.admit_control(WorkItem::Load { name, path }, sh)
-            }
-            Ok(Request::Append { name, row, group }) => {
-                self.admit_control(WorkItem::Append { name, row, group }, sh)
-            }
-            Ok(Request::Delete { name, row }) => {
-                self.admit_control(WorkItem::Delete { name, row }, sh)
-            }
+            Ok(Request::Load { name, path }) => self.admit_load(name, path, sh),
             Ok(Request::Batch { n, stream }) => {
                 if n > MAX_BATCH {
                     let e =
@@ -399,17 +397,19 @@ impl Conn {
                 }
             }
             Ok(req) => {
-                let resp =
-                    server::control_response(&sh.engine, sh.workers, &sh.opts, sh.started, &req)
-                        .expect("non-control verbs are matched above");
+                let resp = server::control_response(&sh.engine, sh.workers, sh.started, &req)
+                    .expect("non-control verbs are matched above");
                 self.push_ready(&resp, sh);
             }
         }
         Ok(Outcome::Continue)
     }
 
-    /// Admits one single `QUERY`: per-connection quota, then the bounded
-    /// solve queue; either refusal sheds with typed retry advice.
+    /// Admits one single `QUERY`: per-connection quota, then a cache-only
+    /// probe answered inline, then the bounded solve queue; either
+    /// refusal sheds with typed retry advice. A cache hit never enters the
+    /// queue, so neither the queue bound nor the queue deadline applies
+    /// to it.
     #[allow(clippy::disallowed_methods)] // queue-age stamp; see R5 waiver inside
     fn admit_single(&mut self, q: Box<Query>, sh: &Shared) {
         let m = &*sh.metrics;
@@ -423,6 +423,12 @@ impl Conn {
                 retry_after_ms: m.retry_after_ms(sh.queue.depth(), sh.workers),
             };
             self.push_ready(&Response::error(&busy), sh);
+            return;
+        }
+        if let Some(hit) = sh.engine.execute_cached(&q) {
+            let res = Ok(hit);
+            server::log_if_slow(sh.opts.slow_query_ms, &q, &res);
+            self.push_ready(&Response::from_result(None, &res), sh);
             return;
         }
         let ticket = self.take_ticket();
@@ -452,21 +458,21 @@ impl Conn {
         }
     }
 
-    /// Admits a heavy control verb (`LOAD`, `APPEND`, `DELETE`) to the
-    /// worker pool: disk reads and catalog mutations must not stall every
-    /// connection on the loop thread. The job bypasses the queue bound
-    /// (control verbs are never shed) and raises the connection's input
-    /// barrier ([`Conn::control_inflight`]) until it completes — so a
-    /// pipelined mutate→query sequence keeps its sequential semantics.
+    /// Admits `LOAD` to the worker pool: a disk read plus dataset
+    /// preparation must not stall every connection on the loop thread.
+    /// The job bypasses the queue bound (operator verbs are never shed)
+    /// and raises the connection's input barrier
+    /// ([`Conn::control_inflight`]) until it completes, so a pipelined
+    /// load→query sequence keeps its sequential semantics.
     #[allow(clippy::disallowed_methods)] // queue-age stamp; see R5 waiver inside
-    fn admit_control(&mut self, work: WorkItem, sh: &Shared) {
+    fn admit_load(&mut self, name: String, path: String, sh: &Shared) {
         let ticket = self.take_ticket();
         let job = SolveJob {
             conn: self.slot,
             generation: self.generation,
             ticket,
             batch_index: None,
-            work,
+            work: WorkItem::Load { name, path },
             // fairhms-lint: allow(R5) admission-control deadline stamp:
             // queue-age shedding must work with telemetry off.
             enqueued: Instant::now(),
@@ -764,8 +770,9 @@ fn accept_ready(
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) => {
-                // Same policy as the threaded accept loop: transient
-                // failures must not take the service down.
+                // Transient accept failures (ECONNABORTED from a client
+                // that reset mid-handshake, EMFILE under load, EINTR…)
+                // must not take the service down.
                 eprintln!("fairhms-service: accept error (continuing): {e}");
                 break;
             }
@@ -848,7 +855,6 @@ pub(crate) fn run(
         }
         // Block indefinitely: every state change that matters arrives as
         // readiness or as a self-pipe wake (solve completions, shutdown).
-        // This is what replaces the threaded path's 200 ms timeout spin.
         if poll(&mut fds, -1).is_err() {
             std::thread::sleep(std::time::Duration::from_millis(5));
             continue;

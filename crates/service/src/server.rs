@@ -1,103 +1,59 @@
-//! Std-only TCP front ends.
+//! The std-only TCP front end (`fairhms serve`).
 //!
-//! Two selectable serving strategies ([`FrontendKind`]) share one
-//! protocol implementation and are contractually bit-identical on the
-//! wire (pinned by `tests/frontend_equivalence.rs`):
+//! One `poll(2)` loop thread (`crate::event`, built on
+//! [`crate::reactor`]) owns every socket; per-connection state machines
+//! pump the connection's negotiated [`Codec`] incrementally, and idle
+//! connections cost a poll-set entry, not a thread. Work is split by
+//! cost:
 //!
-//! * **Threaded** — one thread per connection (the historical default),
-//!   reading newline-delimited requests and answering with typed
-//!   [`Response`] frames through the connection's negotiated [`Codec`].
-//!   `BATCH n` requests fan out over the server's [`BatchExecutor`];
-//!   idle connections cost a blocked thread each, woken every 200 ms to
-//!   check the stop flag.
-//! * **Event** — a readiness-driven multiplexer (`crate::event`, built
-//!   on [`crate::reactor`]): one loop thread owns every socket via
-//!   `poll(2)`, per-connection state machines pump the codec
-//!   incrementally, and solves run on a resident
-//!   `executor::WorkerPool` behind a **bounded**
-//!   `executor::SolveQueue`. Idle connections cost a poll-set
-//!   entry, not a thread, and shutdown is immediate (self-pipe wake, no
-//!   timeout spin).
+//! * **On the loop:** the control verbs (`PING`, `LIST`, `STATS`,
+//!   `METRICS`, …), `QUERY` cache hits, and the `APPEND`/`DELETE`
+//!   mutations. Each is a cache probe or a short catalog repair, cheaper
+//!   than the two cross-thread hops a pool round trip costs. A mutation
+//!   holds the catalog write lock for its whole repair, and every query
+//!   waits on that lock anyway, so running it inline stalls nothing that
+//!   was not already stalled.
+//! * **On the pool:** cold `QUERY` solves, every `BATCH` slot, and
+//!   `LOAD` (a disk read plus dataset preparation). They run on a
+//!   resident `executor::WorkerPool` behind a **bounded**
+//!   `executor::SolveQueue`, and completions come back over a channel
+//!   plus a self-pipe wake.
 //!
-//! Admission control spans both: the [`ServeOptions::max_stream_batches`]
-//! gate bounds concurrently streaming batches everywhere, and the event
-//! front end adds per-connection quotas
+//! Admission control: the [`ServeOptions::max_stream_batches`] gate
+//! bounds concurrently streaming batches, per-connection quotas
 //! ([`ServeOptions::max_inflight_queries`],
-//! [`ServeOptions::max_conn_batches`]), a connection cap
-//! ([`ServeOptions::max_conns`]), and queue bounds
-//! ([`ServeOptions::queue_depth`], [`ServeOptions::queue_deadline_ms`]).
-//! Every shed answers `ERR busy` carrying `retry_after_ms` back-off
-//! advice. No async runtime, no external protocol dependencies.
+//! [`ServeOptions::max_conn_batches`]) bound what one client may pipeline,
+//! [`ServeOptions::max_conns`] caps connections, and
+//! [`ServeOptions::queue_depth`] / [`ServeOptions::queue_deadline_ms`]
+//! bound the solve queue. A cache hit never enters the queue, so the
+//! queue bounds do not apply to it; the per-connection quota does. Every
+//! shed answers `ERR busy` carrying `retry_after_ms` back-off advice. No
+//! async runtime, no external protocol dependencies.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fairhms_core::registry::ALGORITHM_NAMES;
 
-use crate::codec::{Codec, CodecKind};
+use crate::codec::Codec;
 use crate::engine::{QueryEngine, QueryResponse};
-use crate::executor::BatchExecutor;
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{self, Request, Response};
 use crate::query::Query;
 use crate::reactor::Waker;
 use crate::ServiceError;
 
-/// Which serving strategy `fairhms serve` runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontendKind {
-    /// One OS thread per connection (the historical default).
-    #[default]
-    Threaded,
-    /// One `poll(2)` event loop plus a resident solve worker pool.
-    Event,
-}
-
-impl FrontendKind {
-    /// Parses a front-end name as given to `serve --frontend <name>`.
-    pub fn parse(s: &str) -> Option<FrontendKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "threaded" | "thread" => Some(FrontendKind::Threaded),
-            "event" => Some(FrontendKind::Event),
-            _ => None,
-        }
-    }
-
-    /// The front end test hooks select via `FAIRHMS_TEST_FRONTEND`
-    /// (`threaded`/`event`), defaulting to threaded.
-    ///
-    /// Mirrors `FAIRHMS_TEST_SHARDS`/`FAIRHMS_TEST_CODEC`: `scripts/
-    /// ci.sh` re-runs the whole service suite once per front end, so
-    /// every TCP test exercises both serving strategies without
-    /// duplicating test bodies.
-    pub fn from_env() -> FrontendKind {
-        std::env::var("FAIRHMS_TEST_FRONTEND")
-            .ok()
-            .and_then(|v| FrontendKind::parse(&v))
-            .unwrap_or(FrontendKind::Threaded)
-    }
-}
-
-impl std::fmt::Display for FrontendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FrontendKind::Threaded => "threaded",
-            FrontendKind::Event => "event",
-        })
-    }
-}
-
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:4077` (`:0` for an OS-chosen port).
     pub addr: String,
-    /// Worker threads per `BATCH` request.
+    /// Size of the solve worker pool (minimum 1): the threads that run
+    /// cold solves, batch slots and `LOAD` for every connection.
     pub workers: usize,
 }
 
@@ -105,7 +61,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:4077".to_string(),
-            workers: BatchExecutor::default().workers(),
+            workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
         }
     }
 }
@@ -121,11 +77,9 @@ pub struct ServeOptions {
     /// directory — see [`crate::catalog::resolve_under_root`].
     pub load_root: Option<PathBuf>,
     /// Server-wide cap on concurrently *streaming* batches
-    /// (`BATCH n stream=true`). The connection loop is sequential, so
-    /// each connection holds at most one stream; this gate bounds the
-    /// total across connections and answers `ERR busy: …` beyond it —
-    /// the first concrete admission-control/backpressure knob. `0`
-    /// disables streaming outright.
+    /// (`BATCH n stream=true`), summed across connections; a stream
+    /// beyond it answers `ERR busy: …`. `0` disables streaming
+    /// outright.
     pub max_stream_batches: usize,
     /// Slow-query log threshold in milliseconds. `None` (the default)
     /// disables the log; `Some(n)` prints one structured line on stderr
@@ -140,29 +94,27 @@ pub struct ServeOptions {
     /// [`crate::metrics::TelemetryConfig::from_env`], honouring
     /// `FAIRHMS_TEST_TELEMETRY`.
     pub telemetry: crate::metrics::TelemetryConfig,
-    /// Which serving strategy to run. Defaults to
-    /// [`FrontendKind::from_env`], honouring `FAIRHMS_TEST_FRONTEND` so
-    /// CI runs the whole suite over both front ends.
-    pub frontend: FrontendKind,
-    /// Maximum simultaneously open connections (event front end). An
+    /// Maximum simultaneously open connections. An
     /// accept beyond the cap is answered with a best-effort `ERR busy`
     /// line and closed immediately.
     pub max_conns: usize,
     /// Bound on the global solve queue between the event loop and its
-    /// workers. A `QUERY` (or batch slot) arriving while the queue is
-    /// full is shed with `ERR busy` + retry advice. `0` sheds every
-    /// solve — the deterministic-overload test hook.
+    /// workers. A `QUERY` that misses the cache (or a batch slot)
+    /// arriving while the queue is full is shed with `ERR busy` + retry
+    /// advice. `0` sheds every solve — the deterministic-overload test
+    /// hook — while cache hits still answer.
     pub queue_depth: usize,
-    /// Queue-time budget in milliseconds (event front end): a solve
+    /// Queue-time budget in milliseconds: a solve
     /// dequeued after waiting longer is shed instead of executed — the
     /// client has likely timed out, so finishing the solve only wastes a
     /// worker. `None` disables deadline shedding.
     pub queue_deadline_ms: Option<u64>,
-    /// Per-connection cap on in-flight single `QUERY`s (event front
-    /// end): a pipelining client beyond it is shed with `ERR busy`.
+    /// Per-connection cap on in-flight single `QUERY`s: a pipelining
+    /// client beyond it is shed with `ERR busy`. Checked before the cache
+    /// probe, so it applies to hits too.
     pub max_inflight_queries: usize,
-    /// Per-connection cap on concurrently executing batches (event
-    /// front end), on top of the server-wide stream gate.
+    /// Per-connection cap on concurrently executing batches, on top of
+    /// the server-wide stream gate.
     pub max_conn_batches: usize,
 }
 
@@ -173,7 +125,6 @@ impl Default for ServeOptions {
             max_stream_batches: 8,
             slow_query_ms: None,
             telemetry: crate::metrics::TelemetryConfig::from_env(),
-            frontend: FrontendKind::from_env(),
             max_conns: 1024,
             queue_depth: 256,
             queue_deadline_ms: Some(5_000),
@@ -195,10 +146,10 @@ pub(crate) struct StreamGate {
 /// Releases its [`StreamGate`] slot on drop — including when a streaming
 /// write fails mid-batch or the connection dies with a batch in flight,
 /// so a dying client can never leak a permit. Owned (no borrow of the
-/// gate): the event front end stores permits inside per-connection state
-/// that outlives any single call frame. Carries the metrics handle so
-/// the `streams.active` gauge (telemetry-gated) tracks the permit's
-/// lifetime on both front ends.
+/// gate): the event loop stores permits inside per-connection state that
+/// outlives any single call frame. Carries the metrics handle so the
+/// `streams.active` gauge (telemetry-gated) tracks the permit's
+/// lifetime.
 #[derive(Debug)]
 pub(crate) struct StreamPermit {
     active: Arc<AtomicUsize>,
@@ -274,18 +225,17 @@ pub(crate) fn gate_busy(
     }
 }
 
-/// A running server: background accept loop + shutdown handle.
+/// A running server: background event loop + shutdown handle.
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: JoinHandle<()>,
-    /// Present on the event front end: wakes the `poll(2)` loop so
-    /// shutdown is immediate instead of waiting out a timeout.
-    waker: Option<Waker>,
+    /// Wakes the `poll(2)` loop so shutdown is observed immediately.
+    waker: Waker,
 }
 
 impl Server {
-    /// Binds `cfg.addr` and starts the accept loop on a background
+    /// Binds `cfg.addr` and starts the event loop on a background
     /// thread with default [`ServeOptions`] (`LOAD` disabled). The
     /// returned handle reports the bound address (useful with port 0)
     /// and can stop the server.
@@ -302,9 +252,7 @@ impl Server {
     ) -> Result<Server, ServiceError> {
         let listener = bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        // Nonblocking on both front ends: the threaded accept loop polls
-        // with a short sleep so it notices `stop`; the event loop waits
-        // for listener readiness via `poll(2)`.
+        // The loop waits for listener readiness via `poll(2)`.
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let loop_stop = Arc::clone(&stop);
@@ -312,36 +260,20 @@ impl Server {
         // fairhms-lint: allow(R5) server birth stamp: feeds the STATS
         // uptime_secs wire field, read once per STATS — not a hot path.
         let started = Instant::now();
-        match opts.frontend {
-            FrontendKind::Threaded => {
-                let executor = BatchExecutor::new(cfg.workers);
-                let handle = std::thread::spawn(move || {
-                    accept_loop(listener, engine, executor, loop_stop, opts, started);
-                });
-                Ok(Server {
-                    addr,
-                    stop,
-                    handle,
-                    waker: None,
-                })
-            }
-            FrontendKind::Event => {
-                let (pipe, waker) = crate::reactor::wake_pair()?;
-                let loop_waker = waker.clone();
-                let workers = cfg.workers;
-                let handle = std::thread::spawn(move || {
-                    crate::event::run(
-                        listener, engine, workers, loop_stop, opts, started, pipe, loop_waker,
-                    );
-                });
-                Ok(Server {
-                    addr,
-                    stop,
-                    handle,
-                    waker: Some(waker),
-                })
-            }
-        }
+        let (pipe, waker) = crate::reactor::wake_pair()?;
+        let loop_waker = waker.clone();
+        let workers = cfg.workers;
+        let handle = std::thread::spawn(move || {
+            crate::event::run(
+                listener, engine, workers, loop_stop, opts, started, pipe, loop_waker,
+            );
+        });
+        Ok(Server {
+            addr,
+            stop,
+            handle,
+            waker,
+        })
     }
 
     /// The bound listen address.
@@ -349,21 +281,18 @@ impl Server {
         self.addr
     }
 
-    /// Signals the accept loop to stop and waits for it to exit.
-    /// Connections already being served finish their current request.
-    /// On the event front end the stop is observed immediately (self-pipe
-    /// wake); the threaded front end notices within its poll interval.
+    /// Signals the event loop to stop and waits for it to exit. The
+    /// self-pipe wake makes the stop immediate; each worker finishes the
+    /// solve it is running, and open connections are closed.
     pub fn shutdown(self) {
         // ordering: stop flag is a rare, correctness-critical edge; SeqCst
         // keeps shutdown visible to every loop without case analysis.
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
+        self.waker.wake();
         let _ = self.handle.join();
     }
 
-    /// Blocks until the accept loop exits (i.e. until a client sends
+    /// Blocks until the event loop exits (i.e. until a client sends
     /// `SHUTDOWN`). Used by the foreground `fairhms serve` command.
     pub fn join(self) {
         let _ = self.handle.join();
@@ -387,141 +316,25 @@ fn bind(addr: &str) -> Result<TcpListener, ServiceError> {
     )))
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    engine: Arc<QueryEngine>,
-    executor: BatchExecutor,
-    stop: Arc<AtomicBool>,
-    opts: Arc<ServeOptions>,
-    started: Instant,
-) {
-    let gate = StreamGate::new(opts.max_stream_batches);
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    // ordering: stop flag; SeqCst mirrors the store in shutdown().
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let engine = Arc::clone(&engine);
-                let stop = Arc::clone(&stop);
-                let opts = Arc::clone(&opts);
-                let gate = gate.clone();
-                conns.push(std::thread::spawn(move || {
-                    let _ =
-                        serve_connection(stream, &engine, executor, &stop, &opts, &gate, started);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            // Transient accept failures (ECONNABORTED from a client that
-            // reset mid-handshake, EMFILE under load, EINTR…) must not
-            // take the whole service down; back off briefly and keep
-            // accepting. Only the stop flag ends the loop.
-            Err(e) => {
-                eprintln!("fairhms-service: accept error (continuing): {e}");
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-        conns.retain(|h| !h.is_finished());
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
 /// Longest accepted request line, bytes. Oversized lines drop the
 /// connection, so a newline-free stream cannot grow server memory without
-/// limit. Shared with the event front end — the limit is a protocol
-/// property, not a front-end one.
+/// limit.
 pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Largest total byte size of the lines following a `BATCH` header.
-/// `read_batch` buffers the whole batch before parsing (to keep bad
-/// batches from desynchronizing the connection), so the buffer itself
-/// needs a cap independent of the per-line one.
+/// The loop buffers the whole batch before parsing (to keep bad batches
+/// from desynchronizing the connection), so the buffer itself needs a
+/// cap independent of the per-line one.
 pub(crate) const MAX_BATCH_BYTES: usize = 16 << 20;
 
 /// Largest accepted `BATCH n` count; a larger header is answered with a
 /// protocol error before any lines are read.
 pub(crate) const MAX_BATCH: usize = 100_000;
 
-/// Reads one `\n`-terminated line of raw bytes, noticing `stop` and
-/// bounding length: the stream carries a short read timeout, and every
-/// timeout re-checks the flag. Returns `Ok(0)` when the client closed or
-/// the server is shutting down, and `InvalidData` for a line longer than
-/// [`MAX_LINE_BYTES`] (the connection is then dropped). Reads via
-/// `fill_buf`/`consume`, so a line split by a timeout is completed by
-/// subsequent calls.
-///
-/// Bytes, not `String`: the caller decodes the *completed* line exactly
-/// once, so a multi-byte UTF-8 character straddling a buffer boundary is
-/// not corrupted by piecewise lossy decoding.
-fn read_line_or_stop(
-    reader: &mut impl BufRead,
-    line: &mut Vec<u8>,
-    stop: &AtomicBool,
-) -> std::io::Result<usize> {
-    let start = line.len();
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // ordering: stop flag; SeqCst mirrors the store in shutdown().
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(0);
-                }
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if chunk.is_empty() {
-            return Ok(line.len() - start); // EOF (0 if nothing was read)
-        }
-        let (taken, done) = match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => (pos + 1, true),
-            None => (chunk.len(), false),
-        };
-        line.extend_from_slice(&chunk[..taken]);
-        reader.consume(taken);
-        if line.len() - start > MAX_LINE_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-            ));
-        }
-        if done {
-            return Ok(line.len() - start);
-        }
-    }
-}
-
-/// Encodes `resp` through the connection's codec and writes the frame.
-///
-/// If encoding fails (a wire-unsafe value reached the response path), the
-/// connection answers a typed `ERR` frame instead of either silently
-/// emitting a desynchronizing byte sequence or dropping the write — the
-/// response-side half of the wire-safety contract.
-fn send(
-    writer: &mut impl Write,
-    codec: &dyn Codec,
-    frame: &mut Vec<u8>,
-    resp: &Response,
-    metrics: &ServiceMetrics,
-) -> std::io::Result<()> {
-    encode_into(codec, frame, resp, metrics)?;
-    writer.write_all(frame)
-}
-
 /// Serializes `resp` into `frame` (replacing its contents), falling back
-/// to a typed `ERR` frame when the value is not encodable. Shared with
-/// the event front end, which appends the frame to a per-connection
-/// output buffer instead of writing it straight to a socket.
+/// to a typed `ERR` frame when the value is not encodable — the
+/// response-side half of the wire-safety contract: a wire-unsafe value
+/// never becomes a desynchronizing byte sequence or a dropped write.
 pub(crate) fn encode_into(
     codec: &dyn Codec,
     frame: &mut Vec<u8>,
@@ -544,14 +357,13 @@ pub(crate) fn encode_into(
     Ok(())
 }
 
-/// Answers the control-plane verbs (everything except `HELLO`, `QUERY`,
-/// `BATCH`, and `SHUTDOWN`, which need connection or executor state).
-/// One implementation shared by both front ends keeps the wire contract
-/// bit-identical between them.
+/// Answers the control-plane verbs inline on the loop: everything except
+/// `HELLO`, `QUERY`, `BATCH` and `SHUTDOWN`, which need connection or
+/// executor state, and `LOAD`, which runs on the worker pool (see
+/// [`handle_load`]).
 pub(crate) fn control_response(
     engine: &QueryEngine,
     workers: usize,
-    opts: &ServeOptions,
     started: Instant,
     req: &Request,
 ) -> Option<Response> {
@@ -612,158 +424,14 @@ pub(crate) fn control_response(
             };
             Response::Shards(shards)
         }
-        Request::Load { name, path } => handle_load(engine, opts, name, path),
         Request::Append { name, row, group } => handle_append(engine, name, row, *group),
         Request::Delete { name, row } => handle_delete(engine, name, *row),
-        Request::Hello { .. } | Request::Query(_) | Request::Batch { .. } | Request::Shutdown => {
-            return None
-        }
+        Request::Hello { .. }
+        | Request::Query(_)
+        | Request::Batch { .. }
+        | Request::Load { .. }
+        | Request::Shutdown => return None,
     })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve_connection(
-    stream: TcpStream,
-    engine: &QueryEngine,
-    executor: BatchExecutor,
-    stop: &AtomicBool,
-    opts: &ServeOptions,
-    gate: &StreamGate,
-    started: Instant,
-) -> std::io::Result<()> {
-    let metrics = Arc::clone(engine.metrics());
-    let m = metrics.as_ref();
-    // Always-on (not telemetry-gated): this gauge backs the STATS
-    // `conns_open` field, which must be accurate with telemetry off.
-    let _conn = m.conn_active.guard();
-    stream.set_nodelay(true).ok();
-    // On BSD/macOS/Windows accepted sockets inherit the listener's
-    // non-blocking mode (Linux does not); force blocking so the read
-    // timeout below governs instead of a WouldBlock busy-spin.
-    stream.set_nonblocking(false)?;
-    // Idle connections must not block shutdown: reads wake up periodically
-    // to check the stop flag (see read_line_or_stop).
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut line = Vec::new();
-    // Connection codec state: v1 text until a HELLO handshake swaps it.
-    let mut codec: Box<dyn Codec> = CodecKind::Text.new_codec();
-    let mut frame = Vec::new();
-    loop {
-        line.clear();
-        {
-            // The read span includes client think-time between requests
-            // (the histogram measures "time to obtain the next request
-            // line", not just kernel copy time) — interpret its upper
-            // quantiles accordingly.
-            let _read = m.recorder().span(&m.read);
-            if read_line_or_stop(&mut reader, &mut line, stop)? == 0 {
-                return Ok(()); // client closed or server stopping
-            }
-        }
-        // Decode the complete line once (see read_line_or_stop).
-        let decode_span = m.recorder().span(&m.decode);
-        let decoded = String::from_utf8_lossy(&line);
-        let trimmed = decoded.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let parsed = protocol::parse_request(trimmed);
-        drop(decode_span);
-        match parsed {
-            Err(e) => send(
-                &mut writer,
-                codec.as_ref(),
-                &mut frame,
-                &Response::error(&e),
-                m,
-            )?,
-            Ok(Request::Hello {
-                version,
-                codec: kind,
-            }) => {
-                // Acknowledge through the *previous* codec (the client
-                // reads the ack before switching), then swap.
-                let ack = Response::Hello {
-                    version,
-                    codec: kind,
-                };
-                send(&mut writer, codec.as_ref(), &mut frame, &ack, m)?;
-                codec = kind.new_codec();
-            }
-            Ok(Request::Shutdown) => {
-                send(&mut writer, codec.as_ref(), &mut frame, &Response::Bye, m)?;
-                writer.flush()?;
-                // ordering: stop flag is a rare, correctness-critical edge;
-                // SeqCst keeps the SHUTDOWN handshake trivially ordered.
-                stop.store(true, Ordering::SeqCst);
-                return Ok(());
-            }
-            Ok(Request::Query(q)) => {
-                let res = engine.execute(&q);
-                log_if_slow(opts.slow_query_ms, &q, &res);
-                send(
-                    &mut writer,
-                    codec.as_ref(),
-                    &mut frame,
-                    &Response::from_result(None, &res),
-                    m,
-                )?;
-            }
-            Ok(Request::Batch { n, stream }) => match read_batch(&mut reader, n, stop)? {
-                Err(e) => send(
-                    &mut writer,
-                    codec.as_ref(),
-                    &mut frame,
-                    &Response::error(&e),
-                    m,
-                )?,
-                Ok(queries) => {
-                    if stream {
-                        serve_streamed_batch(
-                            &mut writer,
-                            codec.as_ref(),
-                            &mut frame,
-                            engine,
-                            executor,
-                            gate,
-                            opts,
-                            &queries,
-                        )?;
-                    } else {
-                        let results = executor.execute_all(engine, &queries);
-                        send(
-                            &mut writer,
-                            codec.as_ref(),
-                            &mut frame,
-                            &Response::BatchHeader { n, stream: false },
-                            m,
-                        )?;
-                        for (q, r) in queries.iter().zip(&results) {
-                            log_if_slow(opts.slow_query_ms, q, r);
-                            send(
-                                &mut writer,
-                                codec.as_ref(),
-                                &mut frame,
-                                &Response::from_result(None, r),
-                                m,
-                            )?;
-                        }
-                    }
-                }
-            },
-            // Everything else is a control-plane verb shared verbatim
-            // with the event front end.
-            Ok(req) => {
-                let resp = control_response(engine, executor.workers(), opts, started, &req)
-                    .expect("non-control verbs are matched above");
-                send(&mut writer, codec.as_ref(), &mut frame, &resp, m)?;
-            }
-        }
-        let _flush = m.recorder().span(&m.flush);
-        writer.flush()?;
-    }
 }
 
 /// Renders the slow-query log line for a query that took longer than
@@ -807,8 +475,9 @@ fn format_slow_query(
     Some(out)
 }
 
-/// Prints [`format_slow_query`]'s line to stderr when it applies.
-/// Shared with the event front end, which logs on completion delivery.
+/// Prints [`format_slow_query`]'s line to stderr when it applies: the
+/// loop logs inline cache hits at once and pool solves on completion
+/// delivery.
 pub(crate) fn log_if_slow(
     threshold_ms: Option<u64>,
     q: &Query,
@@ -816,66 +485,6 @@ pub(crate) fn log_if_slow(
 ) {
     if let Some(line) = format_slow_query(threshold_ms, q, res) {
         eprintln!("{line}");
-    }
-}
-
-/// Runs one `BATCH n stream=true`: acquires a [`StreamGate`] slot (or
-/// answers `ERR busy` — the batch lines are already consumed, so load
-/// shedding never desynchronizes the connection), writes the header, then
-/// flushes one `seq`-tagged frame per query **as the executor completes
-/// it** — first answers reach the client while later queries are still
-/// solving.
-#[allow(clippy::too_many_arguments)]
-fn serve_streamed_batch(
-    writer: &mut impl Write,
-    codec: &dyn Codec,
-    frame: &mut Vec<u8>,
-    engine: &QueryEngine,
-    executor: BatchExecutor,
-    gate: &StreamGate,
-    opts: &ServeOptions,
-    queries: &[Query],
-) -> std::io::Result<()> {
-    let metrics = Arc::clone(engine.metrics());
-    let m = metrics.as_ref();
-    let _permit = match gate.try_acquire(&metrics) {
-        Err((active, limit)) => {
-            // The threaded front end has no solve queue; retry advice is
-            // one execute-EWMA round.
-            let busy = gate_busy(m, active, limit, 0, executor.workers());
-            return send(writer, codec, frame, &Response::error(&busy), m);
-        }
-        Ok(p) => p,
-    };
-    send(
-        writer,
-        codec,
-        frame,
-        &Response::BatchHeader {
-            n: queries.len(),
-            stream: true,
-        },
-        m,
-    )?;
-    writer.flush()?;
-    // The executor keeps delivering after a write failure (workers are
-    // mid-solve); remember the first error, skip the remaining writes,
-    // and surface it after the batch so the connection closes.
-    let mut write_err: Option<std::io::Error> = None;
-    executor.execute_streaming(engine, queries, |i, r| {
-        log_if_slow(opts.slow_query_ms, &queries[i], &r);
-        if write_err.is_some() {
-            return;
-        }
-        let resp = Response::from_result(Some(i as u64), &r);
-        let attempt = send(&mut *writer, codec, frame, &resp, m).and_then(|()| writer.flush());
-        if let Err(e) = attempt {
-            write_err = Some(e);
-        }
-    });
-    match write_err {
-        Some(e) => Err(e),
-        None => Ok(()),
     }
 }
 
@@ -948,56 +557,10 @@ pub(crate) fn handle_delete(engine: &QueryEngine, name: &str, row: usize) -> Res
     }
 }
 
-/// Reads the `n` query lines following a `BATCH n` header.
-///
-/// Always consumes all `n` lines (unless the connection closes) *before*
-/// reporting the first parse failure — otherwise the unread tail of a bad
-/// batch would be reinterpreted as top-level requests and desynchronize
-/// every later response on the connection.
-///
-/// Two-level result: the outer `Err` is an I/O/abuse condition that drops
-/// the connection (total batch bytes over [`MAX_BATCH_BYTES`], socket
-/// failure); the inner `Err` is a well-formed protocol error answered
-/// with a single `ERR` line on a connection that stays usable.
-#[allow(clippy::type_complexity)]
-fn read_batch(
-    reader: &mut impl BufRead,
-    n: usize,
-    stop: &AtomicBool,
-) -> std::io::Result<Result<Vec<Query>, ServiceError>> {
-    if n > MAX_BATCH {
-        return Ok(Err(ServiceError::Protocol(format!(
-            "batch size {n} exceeds limit {MAX_BATCH}"
-        ))));
-    }
-    let mut lines = Vec::with_capacity(n);
-    let mut line = Vec::new();
-    let mut total_bytes = 0usize;
-    for i in 0..n {
-        line.clear();
-        if read_line_or_stop(reader, &mut line, stop)? == 0 {
-            return Ok(Err(ServiceError::Protocol(format!(
-                "connection closed after {i} of {n} batch lines"
-            ))));
-        }
-        total_bytes += line.len();
-        if total_bytes > MAX_BATCH_BYTES {
-            // Dropping mid-batch desynchronizes the connection, so this
-            // is a connection-fatal error, like an oversized line.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("batch exceeds {MAX_BATCH_BYTES} bytes"),
-            ));
-        }
-        lines.push(String::from_utf8_lossy(&line).trim().to_string());
-    }
-    Ok(parse_batch_lines(&lines))
-}
-
 /// Parses the decoded lines of a `BATCH` body into queries; any non-query
-/// line is a protocol error naming its 1-based position. Shared with the
-/// event front end (which collects the lines incrementally but must
-/// report identical errors).
+/// line is a protocol error naming its 1-based position. The loop calls
+/// it only once all `n` lines have arrived, so a bad batch never
+/// desynchronizes the connection.
 pub(crate) fn parse_batch_lines(lines: &[String]) -> Result<Vec<Query>, ServiceError> {
     let mut queries = Vec::with_capacity(lines.len());
     for (i, l) in lines.iter().enumerate() {
@@ -1020,46 +583,9 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use fairhms_data::Dataset;
-    use std::io::Cursor;
-
-    #[test]
-    fn read_batch_validates_lines() {
-        let stop = AtomicBool::new(false);
-        let mut ok = Cursor::new("QUERY dataset=d k=2\nQUERY dataset=d k=3\n");
-        let qs = read_batch(&mut ok, 2, &stop).unwrap().unwrap();
-        assert_eq!(qs.len(), 2);
-        assert_eq!(qs[1].k, 3);
-
-        let mut short = Cursor::new("QUERY dataset=d k=2\n");
-        assert!(matches!(
-            read_batch(&mut short, 2, &stop),
-            Ok(Err(ServiceError::Protocol(_)))
-        ));
-
-        let mut wrong = Cursor::new("PING\n");
-        assert!(matches!(
-            read_batch(&mut wrong, 1, &stop),
-            Ok(Err(ServiceError::Protocol(_)))
-        ));
-    }
-
-    #[test]
-    fn bad_batch_line_does_not_desync_the_connection() {
-        // A batch whose middle line is not a QUERY must consume all n
-        // lines: the valid line after the bad one is NOT executed as a
-        // top-level request.
-        let stop = AtomicBool::new(false);
-        let mut cur = Cursor::new("PING\nQUERY dataset=d k=2\nSTATS\n");
-        assert!(matches!(
-            read_batch(&mut cur, 2, &stop),
-            Ok(Err(ServiceError::Protocol(_)))
-        ));
-        // Exactly the two batch lines were consumed; the connection's
-        // next request is the STATS line.
-        let mut rest = String::new();
-        cur.read_line(&mut rest).unwrap();
-        assert_eq!(rest.trim(), "STATS");
-    }
+    use std::io::{BufRead, BufReader, BufWriter, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     #[test]
     fn slow_query_log_formats_only_over_threshold() {
@@ -1188,8 +714,8 @@ mod tests {
         // An idle client that never sends anything and never disconnects.
         let _idle = TcpStream::connect(server.addr()).unwrap();
 
-        // Shutdown must still complete promptly (reads time out and
-        // observe the stop flag) instead of blocking on the idle reader.
+        // Shutdown must still complete promptly (the stop is a self-pipe
+        // wake) instead of blocking on the idle reader.
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             server.shutdown();

@@ -1,13 +1,13 @@
 //! Deterministic overload and fault-injection harness for the serving
-//! front ends.
+//! front end.
 //!
-//! Pins the admission-control contract of the event front end — idle
-//! connections cost poll-set entries rather than threads, the bounded
-//! solve queue sheds with typed `retry_after_ms` advice, per-connection
+//! Pins the admission-control contract — idle connections cost poll-set
+//! entries rather than threads, the bounded solve queue sheds with typed
+//! `retry_after_ms` advice while cache hits answer inline, per-connection
 //! quotas refuse pipelined floods without desynchronizing, and the
 //! `queue_depth`/`shed_total`/`conns_open` gauges agree exactly with
-//! what clients observed — plus the fault-injection matrix both front
-//! ends must survive: clients dropping mid-frame (text and binary),
+//! what clients observed — plus the fault-injection matrix the server
+//! must survive: clients dropping mid-frame (text and binary),
 //! half-written handshakes, byte-at-a-time delivery, abandoned batch
 //! bodies, and vanished streamed-batch readers, none of which may leak a
 //! quota/stream slot, desync another connection, or wedge shutdown.
@@ -20,7 +20,7 @@
 #![allow(clippy::disallowed_methods)] // tests bound waits with deadlines (R5 exempts test code)
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -30,7 +30,7 @@ use fairhms_data::{gen, Dataset};
 use fairhms_service::codec::CodecKind;
 use fairhms_service::protocol::{parse_response, Response};
 use fairhms_service::{
-    Catalog, FrontendKind, Query, QueryEngine, ServeOptions, Server, ServerConfig, WireClient,
+    Catalog, Query, QueryEngine, ServeOptions, Server, ServerConfig, WireClient,
 };
 
 fn generated(name: &str, n: usize, d: usize, c: usize, seed: u64) -> Dataset {
@@ -47,12 +47,19 @@ fn generated(name: &str, n: usize, d: usize, c: usize, seed: u64) -> Dataset {
     .unwrap()
 }
 
-fn spawn(workers: usize, opts: ServeOptions) -> Server {
+fn engine() -> Arc<QueryEngine> {
     let catalog = Arc::new(Catalog::new());
     catalog
         .insert_dataset(generated("demo", 120, 2, 3, 11))
         .unwrap();
-    let engine = Arc::new(QueryEngine::new(catalog, 4096));
+    Arc::new(QueryEngine::new(catalog, 4096))
+}
+
+fn spawn(workers: usize, opts: ServeOptions) -> Server {
+    spawn_engine(engine(), workers, opts)
+}
+
+fn spawn_engine(engine: Arc<QueryEngine>, workers: usize, opts: ServeOptions) -> Server {
     Server::spawn_with(
         engine,
         ServerConfig {
@@ -62,13 +69,6 @@ fn spawn(workers: usize, opts: ServeOptions) -> Server {
         opts,
     )
     .unwrap()
-}
-
-fn event_opts() -> ServeOptions {
-    ServeOptions {
-        frontend: FrontendKind::Event,
-        ..ServeOptions::default()
-    }
 }
 
 /// Connects and completes one PING round trip, so the server has
@@ -95,6 +95,14 @@ fn gauges(client: &mut WireClient) -> (u64, u64, u64) {
     }
 }
 
+/// Runs the tests of this file one at a time: the thread-count claim
+/// reads a process-wide number, which servers spawned by concurrently
+/// running tests would perturb in either direction.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Number of OS threads in this test process (Linux).
 fn thread_count() -> usize {
     std::fs::read_to_string("/proc/self/status")
@@ -106,7 +114,7 @@ fn thread_count() -> usize {
 }
 
 /// Polls `probe` until `cond` holds on the gauges or the deadline
-/// passes; disconnect cleanup is asynchronous on both front ends.
+/// passes; disconnect cleanup is asynchronous.
 fn wait_for_gauges(probe: &mut WireClient, cond: impl Fn((u64, u64, u64)) -> bool, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
@@ -126,15 +134,16 @@ fn wait_for_gauges(probe: &mut WireClient, cond: impl Fn((u64, u64, u64)) -> boo
 // Overload: idle fan-out, bounded-queue sheds, quotas, accounting
 // ---------------------------------------------------------------------
 
-/// The tentpole resource claim: 500 mostly-idle connections on the event
-/// front end cost poll-set entries, not threads — the process grows by
-/// the event loop plus the worker pool only — and every one of them is
-/// visible in the `conns_open` gauge.
+/// The resource claim: 500 mostly-idle connections cost poll-set
+/// entries, not threads — the process grows by the event loop plus the
+/// worker pool only — and every one of them is visible in the
+/// `conns_open` gauge.
 #[test]
 fn five_hundred_idle_connections_hold_no_threads() {
+    let _serial = serial();
     const WORKERS: usize = 2;
     let baseline = thread_count();
-    let server = spawn(WORKERS, event_opts());
+    let server = spawn(WORKERS, ServeOptions::default());
     let mut idle = Vec::with_capacity(500);
     for _ in 0..500 {
         idle.push(connect_pinged(&server));
@@ -142,7 +151,7 @@ fn five_hundred_idle_connections_hold_no_threads() {
     let grown = thread_count() - baseline;
     assert!(
         grown <= WORKERS + 4,
-        "event front end grew {grown} threads for 500 idle connections \
+        "server grew {grown} threads for 500 idle connections \
          (expected <= workers {WORKERS} + 4)"
     );
 
@@ -162,13 +171,14 @@ fn five_hundred_idle_connections_hold_no_threads() {
 /// burst exactly.
 #[test]
 fn bounded_queue_sheds_bursts_with_retry_advice_and_exact_gauges() {
+    let _serial = serial();
     const IDLE: usize = 50;
     const BURST: usize = 40;
     let server = spawn(
         1,
         ServeOptions {
             queue_depth: 0,
-            ..event_opts()
+            ..ServeOptions::default()
         },
     );
     let _idle: Vec<WireClient> = (0..IDLE).map(|_| connect_pinged(&server)).collect();
@@ -209,17 +219,66 @@ fn bounded_queue_sheds_bursts_with_retry_advice_and_exact_gauges() {
     server.shutdown();
 }
 
+/// Cache hits answer inline on the loop and never enter the solve
+/// queue: with `queue_depth: 0` a query whose answer is already cached
+/// still answers `cached=true`, while an uncached one is shed. The hit
+/// is counted like any executed query and sheds nothing.
+#[test]
+fn cache_hits_answer_while_the_queue_sheds_every_solve() {
+    let _serial = serial();
+    let eng = engine();
+    let mut warm = Query::new("demo", 3);
+    warm.alg = "bigreedy".into();
+    let cold_answer = eng.execute(&warm).unwrap();
+    assert!(!cold_answer.cached);
+    let server = spawn_engine(
+        Arc::clone(&eng),
+        1,
+        ServeOptions {
+            queue_depth: 0,
+            ..ServeOptions::default()
+        },
+    );
+    let mut c = WireClient::connect(server.addr()).unwrap();
+    let hit = c.query(&warm).unwrap();
+    assert!(hit.cached, "a cached answer must bypass the full queue");
+    assert_eq!(hit.indices, cold_answer.answer.indices);
+
+    let mut uncached = warm.clone();
+    uncached.k = 4;
+    c.send_line(&fairhms_service::protocol::query_to_wire(&uncached).unwrap())
+        .unwrap();
+    match c.recv().unwrap() {
+        Response::Busy { message, .. } => assert!(
+            message.contains("solve queue full (depth 0)"),
+            "unexpected shed reason {message:?}"
+        ),
+        other => panic!("expected the uncached query to be shed, got {other:?}"),
+    }
+
+    let (queue_depth, shed_total, _) = gauges(&mut c);
+    assert_eq!((queue_depth, shed_total), (0, 1), "only the miss is shed");
+    assert_eq!(eng.cache_stats().hits, 1);
+    assert_eq!(
+        eng.metrics().total_queries.get(),
+        2,
+        "the in-process solve and the inline hit; the shed miss never executed"
+    );
+    server.shutdown();
+}
+
 /// With a real (nonzero) queue bound, sheds and answers partition the
 /// burst exactly: `answered + shed == burst` and `shed_total` equals the
 /// busy frames the client saw — under any worker scheduling.
 #[test]
 fn sheds_plus_answers_account_for_the_whole_burst() {
+    let _serial = serial();
     const BURST: usize = 12;
     let server = spawn(
         1,
         ServeOptions {
             queue_depth: 4,
-            ..event_opts()
+            ..ServeOptions::default()
         },
     );
     let mut burst = WireClient::connect(server.addr()).unwrap();
@@ -253,12 +312,13 @@ fn sheds_plus_answers_account_for_the_whole_burst() {
 /// connection stays perfectly synchronized afterwards.
 #[test]
 fn per_connection_quotas_shed_without_desync() {
+    let _serial = serial();
     let server = spawn(
         1,
         ServeOptions {
             max_inflight_queries: 0,
             max_conn_batches: 0,
-            ..event_opts()
+            ..ServeOptions::default()
         },
     );
     let mut c = WireClient::connect(server.addr()).unwrap();
@@ -299,18 +359,19 @@ fn per_connection_quotas_shed_without_desync() {
 }
 
 // ---------------------------------------------------------------------
-// Fault injection (both front ends)
+// Fault injection
 // ---------------------------------------------------------------------
 
-/// The full client-misbehavior matrix; run identically against both
-/// front ends. Every scenario must leave the server answering cleanly on
-/// other connections, release every quota/stream slot, settle the
-/// `conns_open` gauge, and shut down promptly.
-fn fault_injection_suite(frontend: FrontendKind) {
+/// The full client-misbehavior matrix. Every scenario must leave the
+/// server answering cleanly on other connections, release every
+/// quota/stream slot, settle the `conns_open` gauge, and shut down
+/// promptly.
+#[test]
+fn fault_injection_event_frontend() {
+    let _serial = serial();
     let server = spawn(
         2,
         ServeOptions {
-            frontend,
             max_stream_batches: 1,
             ..ServeOptions::default()
         },
@@ -417,33 +478,18 @@ fn fault_injection_suite(frontend: FrontendKind) {
     );
 }
 
-#[test]
-fn fault_injection_event_frontend() {
-    fault_injection_suite(FrontendKind::Event);
-}
-
-#[test]
-fn fault_injection_threaded_frontend() {
-    fault_injection_suite(FrontendKind::Threaded);
-}
-
 // ---------------------------------------------------------------------
-// Pipelining and half-close ordering contracts (both front ends)
+// Pipelining and half-close ordering contracts
 // ---------------------------------------------------------------------
 
 /// A pipelined codec switch re-codes only what follows it: a `QUERY`
 /// admitted before `HELLO codec=binary` must answer through the codec in
 /// effect when it was parsed, even though its solve completes after the
-/// switch — exactly the frame sequence a sequential connection thread
-/// produces.
-fn pipelined_hello_recodes_only_later_requests(frontend: FrontendKind) {
-    let server = spawn(
-        2,
-        ServeOptions {
-            frontend,
-            ..ServeOptions::default()
-        },
-    );
+/// switch — exactly the frame sequence a sequential server produces.
+#[test]
+fn pipelined_hello_recodes_only_later_requests_event() {
+    let _serial = serial();
+    let server = spawn(2, ServeOptions::default());
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_nodelay(true).unwrap();
     s.write_all(
@@ -478,27 +524,13 @@ fn pipelined_hello_recodes_only_later_requests(frontend: FrontendKind) {
     server.shutdown();
 }
 
-#[test]
-fn pipelined_hello_recodes_only_later_requests_event() {
-    pipelined_hello_recodes_only_later_requests(FrontendKind::Event);
-}
-
-#[test]
-fn pipelined_hello_recodes_only_later_requests_threaded() {
-    pipelined_hello_recodes_only_later_requests(FrontendKind::Threaded);
-}
-
 /// Requests received before a FIN still answer: a client that sends a
 /// query and immediately half-closes its write side must receive the
 /// answer, then a clean EOF.
-fn half_close_still_answers_admitted_work(frontend: FrontendKind) {
-    let server = spawn(
-        2,
-        ServeOptions {
-            frontend,
-            ..ServeOptions::default()
-        },
-    );
+#[test]
+fn half_close_still_answers_admitted_work_event() {
+    let _serial = serial();
+    let server = spawn(2, ServeOptions::default());
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.write_all(b"QUERY dataset=demo k=3 alg=bigreedy\n")
         .unwrap();
@@ -521,22 +553,13 @@ fn half_close_still_answers_admitted_work(frontend: FrontendKind) {
     server.shutdown();
 }
 
-#[test]
-fn half_close_still_answers_admitted_work_event() {
-    half_close_still_answers_admitted_work(FrontendKind::Event);
-}
-
-#[test]
-fn half_close_still_answers_admitted_work_threaded() {
-    half_close_still_answers_admitted_work(FrontendKind::Threaded);
-}
-
-/// On the event front end `LOAD` executes on the worker pool (a disk
-/// read must not stall the loop), but requests pipelined behind it keep
+/// `LOAD` executes on the worker pool (a disk read must not stall the
+/// loop), but requests pipelined behind it keep
 /// their sequential order: LOAD-then-QUERY written as one block answers
 /// `Loaded` first and then solves against the freshly loaded dataset.
 #[test]
 fn pipelined_load_then_query_keeps_sequential_order() {
+    let _serial = serial();
     let root = std::env::temp_dir().join("fairhms_overload_load_root");
     std::fs::create_dir_all(&root).unwrap();
     let mut csv = String::new();
@@ -550,7 +573,7 @@ fn pipelined_load_then_query_keeps_sequential_order() {
         2,
         ServeOptions {
             load_root: Some(root),
-            ..event_opts()
+            ..ServeOptions::default()
         },
     );
     let mut c = WireClient::connect(server.addr()).unwrap();
@@ -577,11 +600,12 @@ fn pipelined_load_then_query_keeps_sequential_order() {
     server.shutdown();
 }
 
-/// Shutdown on the event front end is a wake, not a timeout expiry: with
-/// 100 idle connections attached it completes promptly.
+/// Shutdown is a wake, not a timeout expiry: with 100 idle connections
+/// attached it completes promptly.
 #[test]
 fn event_shutdown_is_immediate_with_idle_connections() {
-    let server = spawn(2, event_opts());
+    let _serial = serial();
+    let server = spawn(2, ServeOptions::default());
     let _idle: Vec<WireClient> = (0..100).map(|_| connect_pinged(&server)).collect();
     let t = Instant::now();
     server.shutdown();

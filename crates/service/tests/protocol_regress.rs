@@ -136,6 +136,49 @@ fn oversized_batch_count_errs_without_desync() {
     server.shutdown();
 }
 
+/// A valid batch answers its header and one frame per line, in order;
+/// a batch holding a non-`QUERY` line answers one `ERR` naming the line
+/// instead.
+#[test]
+fn batch_lines_must_all_be_queries() {
+    let server = spawn_server();
+    let mut c = Client::connect(server.addr());
+
+    c.send("BATCH 2\nQUERY dataset=toy k=2\nQUERY dataset=toy k=3");
+    assert_eq!(c.recv(), "OK batch=2");
+    for k in [2, 3] {
+        let ans = fairhms_service::protocol::parse_response(&c.recv()).unwrap();
+        assert_eq!(ans.indices.len(), k);
+    }
+
+    c.send("BATCH 1\nPING");
+    let resp = c.recv();
+    assert!(
+        resp.starts_with("ERR protocol error: batch line 1 must be a QUERY"),
+        "got {resp:?}"
+    );
+    c.assert_in_sync();
+    server.shutdown();
+}
+
+/// A batch whose first line is not a `QUERY` must still consume all `n`
+/// lines before erroring: the valid line after the bad one is NOT run as
+/// a top-level request, and the request pipelined after the batch is
+/// the next one answered.
+#[test]
+fn bad_batch_line_consumes_the_whole_batch() {
+    let server = spawn_server();
+    let mut c = Client::connect(server.addr());
+
+    c.send("BATCH 2\nPING\nQUERY dataset=toy k=2\nSTATS");
+    let resp = c.recv();
+    assert!(resp.starts_with("ERR protocol error:"), "got {resp:?}");
+    let stats = c.recv();
+    assert!(stats.starts_with("OK hits="), "got {stats:?}");
+    c.assert_in_sync();
+    server.shutdown();
+}
+
 /// Satellite regression (ISSUE 4): the client-side serializers must
 /// *error* on wire-unsafe field values — a value containing spaces or
 /// newlines would tokenize into extra fields or extra request lines and

@@ -14,7 +14,7 @@ cargo fmt --all --check
 # lock-order graph + poison-recovering locks, clock-free hot paths,
 # newline-safe wire literals — see docs/ARCHITECTURE.md, "Static
 # analysis & enforced invariants"). Runs before the test matrix: a
-# contract violation fails fast, without waiting on seven test passes.
+# contract violation fails fast, without waiting on the test passes.
 # The waiver baseline is pinned; adding a `fairhms-lint: allow(..)`
 # waiver requires bumping it here with a justification in the diff.
 FAIRHMS_LINT_WAIVER_BASELINE=11
@@ -66,38 +66,20 @@ FAIRHMS_TEST_WARMSTART=0 cargo test -p fairhms-service -q
 echo "==> service tests, telemetry disabled (FAIRHMS_TEST_TELEMETRY=0)"
 FAIRHMS_TEST_TELEMETRY=0 cargo test -p fairhms-service -q
 
-# …and once on the event-driven front end: FAIRHMS_TEST_FRONTEND routes
-# every server the suite spawns through the poll(2) reactor instead of
-# thread-per-connection — answers are contractually bit-identical (see
-# crates/service/tests/frontend_equivalence.rs).
-echo "==> service tests, event-driven front end (FAIRHMS_TEST_FRONTEND=event)"
-FAIRHMS_TEST_FRONTEND=event cargo test -p fairhms-service -q
-
-# …and once on the scalar kernel backend: FAIRHMS_TEST_KERNEL routes all
-# hot-path evaluation through the row-major scalar loops instead of the
-# blocked SoA kernels — answers are contractually bit-identical (see
-# crates/service/tests/kernel_equivalence.rs and fairhms_geometry::soa).
-echo "==> service tests, scalar kernel backend (FAIRHMS_TEST_KERNEL=scalar)"
-FAIRHMS_TEST_KERNEL=scalar cargo test -p fairhms-service -q
-
 # Overload smoke: the admission-control contract (bounded-queue sheds
-# with retry advice, exact gauges, 500-connection idle fan-out) and the
-# fault-injection matrix on both front ends.
+# with retry advice, inline cache hits, exact gauges, 500-connection idle
+# fan-out) and the fault-injection matrix.
 echo "==> overload + fault-injection smoke (crates/service/tests/overload.rs)"
 cargo test -p fairhms-service --test overload -q
 
 # Mutation-churn smoke: mixed APPEND/DELETE/QUERY workloads (random
 # interleavings vs. a from-scratch re-prep oracle, delta invalidation,
-# pipelined mutate→query ordering) over both front ends × both codecs —
-# the full matrix, since mutations ride the control path, whose routing
-# differs per front end, and the MUTATED frame differs per codec.
-echo "==> mutation churn smoke (crates/service/tests/mutation.rs, both front ends x both codecs)"
-for fe in threaded event; do
-  for codec in text binary; do
-    echo "    -- FAIRHMS_TEST_FRONTEND=$fe FAIRHMS_TEST_CODEC=$codec"
-    FAIRHMS_TEST_FRONTEND=$fe FAIRHMS_TEST_CODEC=$codec \
-      cargo test -p fairhms-service --test mutation -q
-  done
+# pipelined mutate→query ordering) over both codecs, since the MUTATED
+# frame differs per codec.
+echo "==> mutation churn smoke (crates/service/tests/mutation.rs, both codecs)"
+for codec in text binary; do
+  echo "    -- FAIRHMS_TEST_CODEC=$codec"
+  FAIRHMS_TEST_CODEC=$codec cargo test -p fairhms-service --test mutation -q
 done
 
 echo "==> bench smoke (service engine + shard prep + wire codecs + warm-start, tiny sizes)"
@@ -114,7 +96,7 @@ FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench 
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench ablation
 
 # Telemetry bench: asserts the warm-hit overhead budget (<1 µs), measures
-# the event front end's idle-connection fan-out (500 idle conns must cost
+# the event loop's idle-connection fan-out (500 idle conns must cost
 # only the loop + worker threads), and writes the machine-readable
 # service profile.
 echo "==> telemetry bench smoke (overhead budget + idle fan-out + BENCH_service.json)"
@@ -127,9 +109,8 @@ assert f['connections'] >= 500 and f['threads_grown'] <= 16 \
 and f['ping_us_under_fanout'] > 0, 'idle fan-out failed sanity checks'; \
 s = d['solver']; \
 assert s['dataset_points'] > 0 and s['net_size'] > 0 \
-and s['points_per_sec'] > 0 and s['points_per_sec_scalar'] > 0 \
-and s['db_max_ms_scalar'] > 0 and s['db_max_ms_blocked'] > 0 \
-and s['bigreedy_cold_ms'] > 0 and s['bigreedy_cold_ms_scalar'] > 0, \
+and s['points_per_sec'] > 0 and s['db_max_ms'] > 0 \
+and s['bigreedy_cold_ms'] > 0, \
 'solver kernel section failed sanity checks'; \
 m = d['mutation']; \
 assert m['append_us'] > 0 and m['delete_us'] > 0 and m['full_reprep_ms'] > 0 \

@@ -76,7 +76,7 @@ USAGE:
                 [--cache N] [--shards N] [--strategy roundrobin|stratified]
                 [--load-root DIR] [--max-streams N] [--no-warmstart]
                 [--warm-capacity N] [--no-telemetry] [--slow-query-ms N]
-                [--frontend event|threaded] [--max-conns N] [--queue-depth N]
+                [--max-conns N] [--queue-depth N]
   fairhms query --addr HOST:PORT (--dataset NAME --k K [--alg NAME] [--alpha A]
                 [--balanced] [--no-skyline] [--seed S] | --file FILE [--stream])
                 [--codec text|binary] [--show-stats]
@@ -104,16 +104,16 @@ either way; --no-warmstart disables the tier and --warm-capacity bounds
 its resident entries. Per-stage latency histograms are recorded by
 default (answers are bit-identical with telemetry on or off);
 --no-telemetry disables them and --slow-query-ms N logs one structured
-stderr line per query slower than N ms. --frontend event swaps the
-thread-per-connection accept loop for a poll(2)-driven multiplexer with
-a resident solve worker pool and full admission control: --max-conns
-caps open connections and --queue-depth bounds the global solve queue
-(excess load answers ERR busy with retry_after_ms back-off advice;
-answers stay bit-identical to the threaded front end). `metrics` dumps a running
+stderr line per query slower than N ms. One poll(2) event loop serves
+every connection: it answers control verbs, cache hits and APPEND/DELETE
+itself and runs cold solves, batch slots and LOAD on a pool of --workers
+threads. --max-conns caps open connections and --queue-depth bounds the
+global solve queue (excess load answers ERR busy with retry_after_ms
+back-off advice; cache hits never queue). `metrics` dumps a running
 server's telemetry snapshot via the METRICS verb. `query` is the
 matching client: --codec binary negotiates the v2 length-prefixed framing
 (answers are bit-identical to text), and --file sends a BATCH of QUERY
-lines through the server's thread pool — with --stream the answers are
+lines through the server's worker pool — with --stream the answers are
 printed as the server completes them (seq-tagged) instead of in request
 order.
 
@@ -274,8 +274,7 @@ fn cmd_solve(opts: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     use fairhms::data::shard::PartitionStrategy;
     use fairhms::service::{
-        Catalog, CatalogConfig, FrontendKind, QueryEngine, ServeOptions, Server, ServerConfig,
-        MAX_SHARDS,
+        Catalog, CatalogConfig, QueryEngine, ServeOptions, Server, ServerConfig, MAX_SHARDS,
     };
     use std::sync::Arc;
 
@@ -359,10 +358,6 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     if let Some(n) = num::<usize>(opts, "max-streams")? {
         serve_opts.max_stream_batches = n;
     }
-    if let Some(f) = opts.get("frontend") {
-        serve_opts.frontend = FrontendKind::parse(f)
-            .ok_or_else(|| format!("--frontend: expected event or threaded, got {f:?}"))?;
-    }
     if let Some(n) = num::<usize>(opts, "max-conns")? {
         serve_opts.max_conns = n;
     }
@@ -376,13 +371,10 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     let strategy = cfg.strategy;
     let load_root = serve_opts.load_root.clone();
     let max_streams = serve_opts.max_stream_batches;
-    let frontend_banner = match serve_opts.frontend {
-        FrontendKind::Threaded => "threaded front end".to_string(),
-        FrontendKind::Event => format!(
-            "event front end ({} max conns, queue depth {})",
-            serve_opts.max_conns, serve_opts.queue_depth
-        ),
-    };
+    let admission_banner = format!(
+        "{} max conns, queue depth {}",
+        serve_opts.max_conns, serve_opts.queue_depth
+    );
     let warm_banner = if warm.enabled {
         format!("warm-start {} entries", warm.capacity)
     } else {
@@ -396,11 +388,11 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     let server = Server::spawn_with(engine, ServerConfig { addr, workers }, serve_opts)
         .map_err(|e| e.to_string())?;
     println!(
-        "fairhms-service listening on {} ({}, {} batch workers, cache {} answers, \
+        "fairhms-service listening on {} ({} solve workers, {}, cache {} answers, \
          {} prep shards [{}], {} max streams, {}{}{})",
         server.addr(),
-        frontend_banner,
         workers,
+        admission_banner,
         cache,
         shards,
         strategy,

@@ -61,7 +61,5 @@ pub mod prelude {
     pub use fairhms_data::dataset::{Dataset, Table};
     pub use fairhms_data::skyline::group_skyline_indices;
     pub use fairhms_matroid::{balanced_bounds, proportional_bounds, FairnessMatroid, Matroid};
-    pub use fairhms_service::{
-        BatchExecutor, Catalog, Query, QueryEngine, ServiceError, SolutionCache,
-    };
+    pub use fairhms_service::{Catalog, Query, QueryEngine, ServiceError, SolutionCache};
 }
