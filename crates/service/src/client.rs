@@ -19,7 +19,7 @@ use crate::ServiceError;
 pub struct WireClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    codec: Box<dyn Codec>,
+    codec: &'static dyn Codec,
 }
 
 impl WireClient {
@@ -32,7 +32,7 @@ impl WireClient {
         Ok(WireClient {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
-            codec: CodecKind::Text.new_codec(),
+            codec: CodecKind::Text.codec(),
         })
     }
 
@@ -58,7 +58,7 @@ impl WireClient {
                 )))
             }
         }
-        client.codec = kind.new_codec();
+        client.codec = kind.codec();
         Ok(client)
     }
 

@@ -2,13 +2,15 @@
 //! binary frames.
 //!
 //! A [`Codec`] turns typed [`Response`] values into wire frames and back.
-//! The server holds one boxed codec per connection — [`TextCodec`] until
-//! a `HELLO version=2 codec=binary` handshake swaps in [`BinaryCodec`] —
-//! and clients mirror the choice. Both codecs carry the *same* typed
-//! model, so answers are bit-identical regardless of framing (pinned by
-//! the codec-equivalence suite): `mhr` travels as shortest round-trip
-//! decimal in text and as raw IEEE-754 bits in binary, and both decode to
-//! the same `f64::to_bits`.
+//! A connection speaks one codec — [`TextCodec`] until a
+//! `HELLO version=2 codec=binary` handshake swaps in [`BinaryCodec`] —
+//! and clients mirror the choice. Neither codec lists a response's
+//! fields: both walk the one schema in [`crate::protocol`]
+//! (`put_response`/`take_response`), this module supplying the binary
+//! field encoding and the framing. So answers are bit-identical
+//! regardless of framing (pinned by the codec-equivalence suite): `mhr`
+//! travels as shortest round-trip decimal in text and as raw IEEE-754
+//! bits in binary, and both decode to the same `f64::to_bits`.
 //!
 //! ## Binary frame layout
 //!
@@ -21,14 +23,16 @@
 //! `len` counts tag + payload and is capped at [`MAX_FRAME_BYTES`].
 //! Integers are LEB128 varints, strings are varint-length-prefixed UTF-8,
 //! floats are 8 raw little-endian IEEE-754 bytes, `Option`s are a 0/1
-//! presence byte. Decoding a malformed payload (unknown tag, truncated
+//! presence byte, lists a varint count then their entries; field keys are
+//! not sent. Decoding a malformed payload (unknown tag, truncated
 //! field, trailing bytes) yields a typed [`ServiceError::Protocol`] *for
 //! that frame only* — the length prefix has already been consumed, so the
 //! stream stays frame-aligned and the next frame decodes normally.
 
 use std::io::BufRead;
 
-use crate::protocol::{decode_response_line, encode_response_line, Response, WireAnswer};
+use crate::protocol::{decode_response_line, encode_text, put_response, take_response};
+use crate::protocol::{Response, Sink, Source};
 use crate::ServiceError;
 
 /// Hard cap on one binary frame (tag + payload), matching the text
@@ -55,11 +59,11 @@ impl CodecKind {
         }
     }
 
-    /// A fresh boxed codec of this kind.
-    pub fn new_codec(self) -> Box<dyn Codec> {
+    /// The codec of this kind (codecs are stateless).
+    pub fn codec(self) -> &'static dyn Codec {
         match self {
-            CodecKind::Text => Box::new(TextCodec),
-            CodecKind::Binary => Box::new(BinaryCodec),
+            CodecKind::Text => &TextCodec,
+            CodecKind::Binary => &BinaryCodec,
         }
     }
 
@@ -90,8 +94,8 @@ impl std::fmt::Display for CodecKind {
 /// A response-channel codec: encodes typed [`Response`]s into complete
 /// wire frames and reads them back.
 ///
-/// Object-safe: the server stores `Box<dyn Codec>` per connection and
-/// swaps it at the `HELLO` handshake.
+/// Object-safe: a connection holds a `&'static dyn Codec` (see
+/// [`CodecKind::codec`]) and swaps it at the `HELLO` handshake.
 pub trait Codec: Send + Sync {
     /// Which kind this codec is.
     fn kind(&self) -> CodecKind;
@@ -110,7 +114,7 @@ pub trait Codec: Send + Sync {
 }
 
 /// Protocol v1: one `\n`-terminated text line per response, byte-for-byte
-/// the historical format (see [`encode_response_line`]).
+/// the historical format (see [`crate::protocol::encode_response_line`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TextCodec;
 
@@ -120,8 +124,7 @@ impl Codec for TextCodec {
     }
 
     fn encode_frame(&self, resp: &Response, out: &mut Vec<u8>) -> Result<(), ServiceError> {
-        let line = encode_response_line(resp)?;
-        out.extend_from_slice(line.as_bytes());
+        encode_text(resp, out)?;
         out.push(b'\n');
         Ok(())
     }
@@ -139,25 +142,6 @@ impl Codec for TextCodec {
             line.trim_end_matches(['\n', '\r']),
         )?))
     }
-}
-
-/// Binary frame tags, one per [`Response`] variant.
-mod tag {
-    pub const PONG: u8 = 1;
-    pub const HELLO: u8 = 2;
-    pub const DATASETS: u8 = 3;
-    pub const ALGORITHMS: u8 = 4;
-    pub const STATS: u8 = 5;
-    pub const INFO: u8 = 6;
-    pub const SHARDS: u8 = 7;
-    pub const ANSWER: u8 = 8;
-    pub const BATCH_HEADER: u8 = 9;
-    pub const LOADED: u8 = 10;
-    pub const BYE: u8 = 11;
-    pub const ERROR: u8 = 12;
-    pub const METRICS: u8 = 13;
-    pub const BUSY: u8 = 14;
-    pub const MUTATED: u8 = 15;
 }
 
 /// Protocol v2: length-prefixed binary frames (see the module docs for
@@ -180,23 +164,6 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
-}
-
-fn put_list(out: &mut Vec<u8>, items: &[String]) {
-    put_varint(out, items.len() as u64);
-    for s in items {
-        put_str(out, s);
-    }
-}
-
-fn put_opt_varint(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_varint(out, v);
-        }
-    }
 }
 
 /// Typed cursor over one frame payload; every read error names the field
@@ -250,61 +217,15 @@ impl<'a> PayloadReader<'a> {
         )))
     }
 
-    fn usize(&mut self, field: &str) -> Result<usize, ServiceError> {
-        usize::try_from(self.varint(field)?)
-            .map_err(|_| ServiceError::Protocol(format!("{field}: value exceeds usize")))
-    }
-
-    fn f64_bits(&mut self, field: &str) -> Result<f64, ServiceError> {
-        let end = self.pos + 8;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| self.truncated(field))?;
-        self.pos = end;
-        Ok(f64::from_bits(u64::from_le_bytes(
-            bytes.try_into().expect("8-byte slice"),
-        )))
-    }
-
-    fn str(&mut self, field: &str) -> Result<String, ServiceError> {
-        let len = self.usize(field)?;
-        if len > self.buf.len().saturating_sub(self.pos) {
-            return Err(self.truncated(field));
-        }
-        let end = self.pos + len;
-        let s = std::str::from_utf8(&self.buf[self.pos..end])
-            .map_err(|_| ServiceError::Protocol(format!("{field}: invalid UTF-8")))?
-            .to_string();
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn list(&mut self, field: &str) -> Result<Vec<String>, ServiceError> {
-        let n = self.usize(field)?;
-        // Each entry costs ≥ 1 byte; a count beyond the remaining payload
-        // is corruption, caught before any proportional allocation.
-        if n > self.buf.len().saturating_sub(self.pos) {
-            return Err(self.truncated(field));
-        }
-        (0..n).map(|_| self.str(field)).collect()
-    }
-
-    fn opt_varint(&mut self, field: &str) -> Result<Option<u64>, ServiceError> {
+    /// A 0/1 presence byte: whether an optional field follows.
+    fn present(&mut self, field: &str) -> Result<bool, ServiceError> {
         match self.u8(field)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.varint(field)?)),
+            0 => Ok(false),
+            1 => Ok(true),
             b => Err(ServiceError::Protocol(format!(
                 "malformed binary frame: {field} presence byte {b} (want 0/1)"
             ))),
         }
-    }
-
-    /// True when the payload is fully consumed — used to default fields
-    /// appended to a frame after v2 shipped (a pre-extension peer's
-    /// frame simply ends earlier).
-    fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
     }
 
     fn finish(&self) -> Result<(), ServiceError> {
@@ -318,173 +239,118 @@ impl<'a> PayloadReader<'a> {
     }
 }
 
-fn encode_binary_payload(resp: &Response, out: &mut Vec<u8>) {
-    match resp {
-        Response::Pong => out.push(tag::PONG),
-        Response::Hello { version, codec } => {
-            out.push(tag::HELLO);
-            put_varint(out, u64::from(*version));
-            put_str(out, &codec.to_string());
+impl Source for PayloadReader<'_> {
+    fn u64(&mut self, key: &'static str) -> Result<u64, ServiceError> {
+        self.varint(key)
+    }
+
+    fn f64(&mut self, key: &'static str) -> Result<f64, ServiceError> {
+        let end = self.pos + 8;
+        let bytes = self
+            .buf
+            .get(self.pos..end)
+            .ok_or_else(|| self.truncated(key))?;
+        self.pos = end;
+        Ok(f64::from_bits(u64::from_le_bytes(
+            bytes.try_into().expect("8-byte slice"),
+        )))
+    }
+
+    fn bool(&mut self, key: &'static str) -> Result<bool, ServiceError> {
+        Ok(self.u8(key)? != 0)
+    }
+
+    fn opt_u64(&mut self, key: &'static str) -> Result<Option<u64>, ServiceError> {
+        if self.present(key)? {
+            self.varint(key).map(Some)
+        } else {
+            Ok(None)
         }
-        Response::Datasets(summaries) => {
-            out.push(tag::DATASETS);
-            put_list(out, summaries);
+    }
+
+    fn opt_f64(&mut self, key: &'static str) -> Result<Option<f64>, ServiceError> {
+        if self.present(key)? {
+            self.f64(key).map(Some)
+        } else {
+            Ok(None)
         }
-        Response::Algorithms(names) => {
-            out.push(tag::ALGORITHMS);
-            put_list(out, names);
+    }
+
+    fn str(&mut self, key: &'static str) -> Result<String, ServiceError> {
+        let len = self.usize(key)?;
+        if len > self.buf.len() - self.pos {
+            return Err(self.truncated(key));
         }
-        Response::Stats {
-            hits,
-            misses,
-            entries,
-            evictions,
-            hit_rate,
-            warm_hits,
-            warm_misses,
-            warm_entries,
-            uptime_secs,
-            total_queries,
-            queue_depth,
-            shed_total,
-            conns_open,
-            mutations_total,
-        } => {
-            out.push(tag::STATS);
-            put_varint(out, *hits);
-            put_varint(out, *misses);
-            put_varint(out, *entries as u64);
-            put_varint(out, *evictions);
-            out.extend_from_slice(&hit_rate.to_bits().to_le_bytes());
-            put_varint(out, *warm_hits);
-            put_varint(out, *warm_misses);
-            put_varint(out, *warm_entries as u64);
-            put_varint(out, *uptime_secs);
-            put_varint(out, *total_queries);
-            put_varint(out, *queue_depth);
-            put_varint(out, *shed_total);
-            put_varint(out, *conns_open);
-            put_varint(out, *mutations_total);
+        let end = self.pos + len;
+        let s = std::str::from_utf8(&self.buf[self.pos..end])
+            .map_err(|_| ServiceError::Protocol(format!("{key}: invalid UTF-8")))?
+            .to_string();
+        self.pos = end;
+        Ok(s)
+    }
+
+    fn list<T>(
+        &mut self,
+        key: &'static str,
+        take: impl Fn(&mut Self) -> Result<T, ServiceError>,
+    ) -> Result<Vec<T>, ServiceError> {
+        let n = self.usize(key)?;
+        // Each entry costs ≥ 1 byte, so a count beyond the remaining
+        // payload is corruption, caught before any proportional allocation.
+        if n > self.buf.len() - self.pos {
+            return Err(self.truncated(key));
         }
-        Response::Info {
-            shards,
-            strategy,
-            workers,
-            datasets,
-            cache_entries,
-            warmstart,
-            uptime_secs,
-            total_queries,
-        } => {
-            out.push(tag::INFO);
-            put_varint(out, *shards as u64);
-            put_str(out, strategy);
-            put_varint(out, *workers as u64);
-            put_varint(out, *datasets as u64);
-            put_varint(out, *cache_entries as u64);
-            out.push(u8::from(*warmstart));
-            put_varint(out, *uptime_secs);
-            put_varint(out, *total_queries);
+        (0..n).map(|_| take(self)).collect()
+    }
+
+    fn appended<T>(
+        &mut self,
+        default: T,
+        take: impl Fn(&mut Self) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        // An older peer's frame ends before the tier; one that ends inside
+        // it fails in `take` as truncated.
+        if self.pos == self.buf.len() {
+            Ok(default)
+        } else {
+            take(self)
         }
-        Response::Metrics {
-            enabled,
-            counters,
-            histograms,
-        } => {
-            out.push(tag::METRICS);
-            out.push(u8::from(*enabled));
-            put_varint(out, counters.len() as u64);
-            for (name, v) in counters {
-                put_str(out, name);
-                put_varint(out, *v);
-            }
-            put_varint(out, histograms.len() as u64);
-            for h in histograms {
-                put_str(out, &h.name);
-                put_varint(out, h.count);
-                put_varint(out, h.sum);
-                put_varint(out, h.p50);
-                put_varint(out, h.p90);
-                put_varint(out, h.p99);
-                put_varint(out, h.max);
-            }
-        }
-        Response::Shards(n) => {
-            out.push(tag::SHARDS);
-            put_varint(out, *n as u64);
-        }
-        Response::Answer { seq, answer } => {
-            out.push(tag::ANSWER);
-            put_opt_varint(out, *seq);
-            put_str(out, &answer.alg);
-            out.push(u8::from(answer.cached));
-            put_varint(out, answer.micros);
-            put_varint(out, answer.violations as u64);
-            match answer.mhr {
-                None => out.push(0),
-                Some(v) => {
-                    out.push(1);
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-            }
-            put_varint(out, answer.indices.len() as u64);
-            for &i in &answer.indices {
-                put_varint(out, i as u64);
-            }
-        }
-        Response::BatchHeader { n, stream } => {
-            out.push(tag::BATCH_HEADER);
-            put_varint(out, *n as u64);
-            out.push(u8::from(*stream));
-        }
-        Response::Loaded {
-            name,
-            rows,
-            dim,
-            groups,
-            skyline,
-        } => {
-            out.push(tag::LOADED);
-            put_str(out, name);
-            put_varint(out, *rows as u64);
-            put_varint(out, *dim as u64);
-            put_varint(out, *groups as u64);
-            put_varint(out, *skyline as u64);
-        }
-        Response::Mutated {
-            name,
-            op,
-            rows,
-            skyline,
-            sky_changed,
-            cache_dropped,
-            warm_dropped,
-        } => {
-            out.push(tag::MUTATED);
-            put_str(out, name);
-            put_str(out, op);
-            put_varint(out, *rows as u64);
-            put_varint(out, *skyline as u64);
-            out.push(u8::from(*sky_changed));
-            put_varint(out, *cache_dropped);
-            put_varint(out, *warm_dropped);
-        }
-        Response::Bye => out.push(tag::BYE),
-        Response::Busy {
-            seq,
-            retry_after_ms,
-            message,
-        } => {
-            out.push(tag::BUSY);
-            put_opt_varint(out, *seq);
-            put_varint(out, *retry_after_ms);
-            put_str(out, message);
-        }
-        Response::Error { seq, message } => {
-            out.push(tag::ERROR);
-            put_opt_varint(out, *seq);
-            put_str(out, message);
-        }
+    }
+}
+
+/// The binary codec's [`Sink`]: fields in schema order, keys unused.
+struct BinarySink<'o>(&'o mut Vec<u8>);
+
+impl Sink for BinarySink<'_> {
+    fn begin(&mut self, tag: u8) {
+        self.0.push(tag);
+    }
+
+    fn u64(&mut self, _key: &'static str, v: u64) {
+        put_varint(self.0, v);
+    }
+
+    fn f64(&mut self, _key: &'static str, v: f64) {
+        self.0.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+
+    fn bool(&mut self, _key: &'static str, v: bool) {
+        self.0.push(u8::from(v));
+    }
+
+    fn str(&mut self, _key: &'static str, v: &str) -> Result<(), ServiceError> {
+        put_str(self.0, v);
+        Ok(())
+    }
+
+    fn list<T>(
+        &mut self,
+        key: &'static str,
+        items: &[T],
+        put: impl Fn(&mut Self, &T) -> Result<(), ServiceError>,
+    ) -> Result<(), ServiceError> {
+        self.usize(key, items.len());
+        items.iter().try_for_each(|item| put(self, item))
     }
 }
 
@@ -493,213 +359,8 @@ fn encode_binary_payload(resp: &Response, out: &mut Vec<u8>) {
 /// stream entry point.
 pub fn decode_binary_payload(payload: &[u8]) -> Result<Response, ServiceError> {
     let mut r = PayloadReader::new(payload);
-    let resp = match r.u8("tag")? {
-        tag::PONG => Response::Pong,
-        tag::HELLO => Response::Hello {
-            version: u32::try_from(r.varint("version")?)
-                .map_err(|_| ServiceError::Protocol("version exceeds u32".into()))?,
-            codec: {
-                let s = r.str("codec")?;
-                CodecKind::parse(&s)
-                    .ok_or_else(|| ServiceError::Protocol(format!("codec: unknown kind {s:?}")))?
-            },
-        },
-        tag::DATASETS => Response::Datasets(r.list("datasets")?),
-        tag::ALGORITHMS => Response::Algorithms(r.list("algorithms")?),
-        tag::STATS => {
-            let hits = r.varint("hits")?;
-            let misses = r.varint("misses")?;
-            let entries = r.usize("entries")?;
-            let evictions = r.varint("evictions")?;
-            let hit_rate = r.f64_bits("hit_rate")?;
-            // The warm_* fields were appended after v2 shipped: a frame
-            // from a pre-warm-start peer ends here, and the counters
-            // default to 0 — mirroring the text decoder's tolerance.
-            let (warm_hits, warm_misses, warm_entries) = if r.at_end() {
-                (0, 0, 0)
-            } else {
-                (
-                    r.varint("warm_hits")?,
-                    r.varint("warm_misses")?,
-                    r.usize("warm_entries")?,
-                )
-            };
-            // A second appended tier (telemetry PR): uptime/total default
-            // to 0 when the peer predates them.
-            let (uptime_secs, total_queries) = if r.at_end() {
-                (0, 0)
-            } else {
-                (r.varint("uptime_secs")?, r.varint("total_queries")?)
-            };
-            // Third appended tier (admission control): gauges default to
-            // 0 when the peer predates them.
-            let (queue_depth, shed_total, conns_open) = if r.at_end() {
-                (0, 0, 0)
-            } else {
-                (
-                    r.varint("queue_depth")?,
-                    r.varint("shed_total")?,
-                    r.varint("conns_open")?,
-                )
-            };
-            // Fourth appended tier (mutable catalog): the mutation counter
-            // defaults to 0 when the peer predates APPEND/DELETE.
-            let mutations_total = if r.at_end() {
-                0
-            } else {
-                r.varint("mutations_total")?
-            };
-            Response::Stats {
-                hits,
-                misses,
-                entries,
-                evictions,
-                hit_rate,
-                warm_hits,
-                warm_misses,
-                warm_entries,
-                uptime_secs,
-                total_queries,
-                queue_depth,
-                shed_total,
-                conns_open,
-                mutations_total,
-            }
-        }
-        tag::INFO => {
-            let shards = r.usize("shards")?;
-            let strategy = r.str("strategy")?;
-            let workers = r.usize("workers")?;
-            let datasets = r.usize("datasets")?;
-            let cache_entries = r.usize("cache_entries")?;
-            // Appended after v2 shipped (see STATS above): absent means a
-            // pre-warm-start peer, whose tier default was "on".
-            let warmstart = if r.at_end() {
-                true
-            } else {
-                r.u8("warmstart")? != 0
-            };
-            // Telemetry-PR tier; defaults to 0 for older peers.
-            let (uptime_secs, total_queries) = if r.at_end() {
-                (0, 0)
-            } else {
-                (r.varint("uptime_secs")?, r.varint("total_queries")?)
-            };
-            Response::Info {
-                shards,
-                strategy,
-                workers,
-                datasets,
-                cache_entries,
-                warmstart,
-                uptime_secs,
-                total_queries,
-            }
-        }
-        tag::SHARDS => Response::Shards(r.usize("shards")?),
-        tag::ANSWER => {
-            let seq = r.opt_varint("seq")?;
-            let alg = r.str("alg")?;
-            let cached = r.u8("cached")? != 0;
-            let micros = r.varint("micros")?;
-            let violations = r.usize("violations")?;
-            let mhr = match r.u8("mhr presence")? {
-                0 => None,
-                1 => Some(r.f64_bits("mhr")?),
-                b => {
-                    return Err(ServiceError::Protocol(format!(
-                        "malformed binary frame: mhr presence byte {b} (want 0/1)"
-                    )))
-                }
-            };
-            let n = r.usize("indices count")?;
-            if n > payload.len() {
-                // ≥ 1 byte per index: a count beyond the payload is corrupt.
-                return Err(r.truncated("indices count"));
-            }
-            let indices = (0..n)
-                .map(|_| r.usize("indices"))
-                .collect::<Result<Vec<_>, _>>()?;
-            Response::Answer {
-                seq,
-                answer: WireAnswer {
-                    alg,
-                    cached,
-                    micros,
-                    violations,
-                    mhr,
-                    indices,
-                },
-            }
-        }
-        tag::BATCH_HEADER => Response::BatchHeader {
-            n: r.usize("batch size")?,
-            stream: r.u8("stream flag")? != 0,
-        },
-        tag::LOADED => Response::Loaded {
-            name: r.str("name")?,
-            rows: r.usize("rows")?,
-            dim: r.usize("dim")?,
-            groups: r.usize("groups")?,
-            skyline: r.usize("skyline")?,
-        },
-        tag::MUTATED => Response::Mutated {
-            name: r.str("name")?,
-            op: r.str("op")?,
-            rows: r.usize("rows")?,
-            skyline: r.usize("skyline")?,
-            sky_changed: r.u8("sky_changed")? != 0,
-            cache_dropped: r.varint("cache_dropped")?,
-            warm_dropped: r.varint("warm_dropped")?,
-        },
-        tag::BYE => Response::Bye,
-        tag::BUSY => Response::Busy {
-            seq: r.opt_varint("seq")?,
-            retry_after_ms: r.varint("retry_after_ms")?,
-            message: r.str("message")?,
-        },
-        tag::ERROR => Response::Error {
-            seq: r.opt_varint("seq")?,
-            message: r.str("message")?,
-        },
-        tag::METRICS => {
-            let enabled = r.u8("metrics enabled")? != 0;
-            let nc = r.usize("counter count")?;
-            if nc > payload.len() {
-                return Err(r.truncated("counter count"));
-            }
-            let counters = (0..nc)
-                .map(|_| Ok((r.str("counter name")?, r.varint("counter value")?)))
-                .collect::<Result<Vec<_>, ServiceError>>()?;
-            let nh = r.usize("histogram count")?;
-            if nh > payload.len() {
-                return Err(r.truncated("histogram count"));
-            }
-            let histograms = (0..nh)
-                .map(|_| {
-                    Ok(crate::protocol::WireHistogram {
-                        name: r.str("histogram name")?,
-                        count: r.varint("histogram count field")?,
-                        sum: r.varint("histogram sum")?,
-                        p50: r.varint("histogram p50")?,
-                        p90: r.varint("histogram p90")?,
-                        p99: r.varint("histogram p99")?,
-                        max: r.varint("histogram max")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, ServiceError>>()?;
-            Response::Metrics {
-                enabled,
-                counters,
-                histograms,
-            }
-        }
-        t => {
-            return Err(ServiceError::Protocol(format!(
-                "malformed binary frame: unknown tag {t}"
-            )))
-        }
-    };
+    let tag = r.u8("tag")?;
+    let resp = take_response(tag, &mut r)?;
     r.finish()?;
     Ok(resp)
 }
@@ -712,7 +373,7 @@ impl Codec for BinaryCodec {
     fn encode_frame(&self, resp: &Response, out: &mut Vec<u8>) -> Result<(), ServiceError> {
         let start = out.len();
         out.extend_from_slice(&[0; 4]); // length placeholder
-        encode_binary_payload(resp, out);
+        put_response(resp, &mut BinarySink(out))?;
         let len = out.len() - start - 4;
         if len > MAX_FRAME_BYTES {
             out.truncate(start);
@@ -759,6 +420,7 @@ impl Codec for BinaryCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{tag, WireAnswer};
 
     fn sample_responses() -> Vec<Response> {
         vec![

@@ -103,8 +103,7 @@ impl Shared {
 /// `ERR` frame when it is not encodable (see [`server::encode_into`]).
 fn encode(kind: CodecKind, resp: &Response, m: &ServiceMetrics) -> Vec<u8> {
     let mut frame = Vec::new();
-    let codec = kind.new_codec();
-    if server::encode_into(codec.as_ref(), &mut frame, resp, m).is_err() {
+    if server::encode_into(kind.codec(), &mut frame, resp, m).is_err() {
         frame.clear(); // not encodable and the fallback failed: drop the frame
     }
     frame

@@ -41,6 +41,23 @@
 //!
 //! Malformed input yields a single `ERR <message>` reply; the connection
 //! stays open.
+//!
+//! ## Response schema
+//!
+//! Each [`Response`] variant's fields are listed once for both codecs:
+//! `put_response` writes them into a `Sink` and `take_response` reads them
+//! back from a `Source`, in the same order. The text codec (`TextSink`,
+//! `TextSource`, here) names each field `key=value`; the binary codec
+//! (`crate::codec`) writes them positionally. Text-only syntax — `OK`/`ERR`,
+//! marker words such as `pong`, `seq=` omitted when absent, `mhr=none` —
+//! lives in the text impls, not in the schema.
+//!
+//! Adding a field to a response that has shipped takes two lines: one
+//! write at the end of its `put_response` arm (`s.u64("key", v)`), and one
+//! read inside a new `s.appended(default, |s| s.u64("key"))` group at the
+//! end of its `take_response` arm. Both codecs then decode an older
+//! peer's frame, which lacks the whole group, to `default`, and reject a
+//! frame that has only part of it.
 
 use crate::engine::QueryResponse;
 use crate::query::Query;
@@ -151,8 +168,8 @@ pub enum Response {
     Algorithms(Vec<String>),
     /// `STATS` reply: solution-cache counters plus warm-start tier
     /// counters (the `warm_*` fields; all zero when the tier is
-    /// disabled). Decoding tolerates their absence — pre-warm-start v1
-    /// transcripts still parse, with the warm counters defaulting to 0.
+    /// disabled). The fields after `hit_rate` are appended tiers that
+    /// decode to 0 when an older peer omits them.
     Stats {
         /// Lookups answered from the cache.
         hits: u64,
@@ -171,28 +188,22 @@ pub enum Response {
         /// Resident warm-start entries.
         warm_entries: usize,
         /// Seconds since the server started (0 for engine-only
-        /// contexts). Decoding tolerates absence — pre-telemetry
-        /// transcripts parse with 0.
+        /// contexts).
         uptime_secs: u64,
-        /// Queries executed by the engine since start (decoding
-        /// tolerates absence, defaulting to 0).
+        /// Queries executed by the engine since start.
         total_queries: u64,
         /// Solves waiting in the bounded admission queue right now.
-        /// Decoding tolerates absence — pre-admission-control
-        /// transcripts parse with 0, like the tiers before it.
         queue_depth: u64,
-        /// Requests refused by admission control since start
-        /// (absence-tolerant, defaulting to 0).
+        /// Requests refused by admission control since start.
         shed_total: u64,
-        /// Connections currently open (absence-tolerant, defaulting
-        /// to 0).
+        /// Connections currently open.
         conns_open: u64,
-        /// Catalog mutations (`APPEND`/`DELETE`) applied since start
-        /// (absence-tolerant, defaulting to 0 — pre-mutation transcripts
-        /// still decode).
+        /// Catalog mutations (`APPEND`/`DELETE`) applied since start.
         mutations_total: u64,
     },
-    /// `INFO` reply: server configuration.
+    /// `INFO` reply: server configuration. `warmstart` and then
+    /// `uptime_secs`/`total_queries` are appended tiers; an older peer's
+    /// reply decodes with the tier on and zero counters.
     Info {
         /// Catalog preparation shard count.
         shards: usize,
@@ -204,14 +215,11 @@ pub enum Response {
         datasets: usize,
         /// Resident cache entries.
         cache_entries: usize,
-        /// Whether the warm-start tier is enabled (decoding tolerates the
-        /// field's absence in pre-warm-start transcripts, defaulting to
-        /// `true` — the tier's default state).
+        /// Whether the warm-start tier is enabled.
         warmstart: bool,
-        /// Seconds since the server started (absence-tolerant, like
-        /// [`Response::Stats`]'s field).
+        /// Seconds since the server started.
         uptime_secs: u64,
-        /// Queries executed by the engine since start (absence-tolerant).
+        /// Queries executed by the engine since start.
         total_queries: u64,
     },
     /// `SHARDS` reply: the (possibly just set) preparation shard count.
@@ -341,17 +349,6 @@ impl Response {
     }
 }
 
-fn parse_kv(tokens: &[&str]) -> Result<Vec<(String, String)>, ServiceError> {
-    tokens
-        .iter()
-        .map(|t| {
-            t.split_once('=')
-                .map(|(k, v)| (k.to_ascii_lowercase(), v.to_string()))
-                .ok_or_else(|| ServiceError::Protocol(format!("expected key=value, got {t:?}")))
-        })
-        .collect()
-}
-
 fn parse_bool(key: &str, v: &str) -> Result<bool, ServiceError> {
     match v {
         "true" | "1" => Ok(true),
@@ -382,69 +379,49 @@ fn check_wire_safe(field: &str, v: &str) -> Result<(), ServiceError> {
     Ok(())
 }
 
-/// Like [`check_wire_safe`], plus the `,`/`:` delimiters the `METRICS`
-/// line uses inside its comma-joined lists.
-fn check_metric_name(name: &str) -> Result<(), ServiceError> {
-    check_wire_safe("metric", name)?;
-    if name.is_empty() || name.contains([',', ':']) {
-        return Err(ServiceError::Protocol(format!(
-            "metric: name {name:?} would corrupt the METRICS list encoding"
-        )));
-    }
-    Ok(())
-}
-
 /// Parses a `QUERY`-line body (`key=value` tokens after the verb).
 pub fn parse_query(tokens: &[&str]) -> Result<Query, ServiceError> {
-    let mut dataset: Option<String> = None;
-    let mut k: Option<usize> = None;
-    let mut q = Query::new("", 0);
-    for (key, v) in parse_kv(tokens)? {
-        match key.as_str() {
-            "dataset" => dataset = Some(v),
-            "k" => k = Some(parse_num("k", &v)?),
-            "alg" => q.alg = v,
-            "alpha" => q.alpha = parse_num("alpha", &v)?,
-            "balanced" => q.balanced = parse_bool("balanced", &v)?,
-            "seed" => q.seed = parse_num("seed", &v)?,
-            "skyline" => q.skyline = parse_bool("skyline", &v)?,
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
+    let mut s = TextSource::new(tokens.iter().copied())?;
+    let mut q = Query::new(s.str("dataset")?, s.usize("k")?);
+    if let Some(v) = s.value("alg") {
+        q.alg = v.to_string();
     }
-    q.dataset = dataset.ok_or_else(|| ServiceError::Protocol("missing dataset=".into()))?;
-    q.k = k.ok_or_else(|| ServiceError::Protocol("missing k=".into()))?;
+    if let Some(v) = s.value("alpha") {
+        q.alpha = parse_num("alpha", v)?;
+    }
+    if let Some(v) = s.value("balanced") {
+        q.balanced = parse_bool("balanced", v)?;
+    }
+    if let Some(v) = s.value("seed") {
+        q.seed = parse_num("seed", v)?;
+    }
+    if let Some(v) = s.value("skyline") {
+        q.skyline = parse_bool("skyline", v)?;
+    }
+    s.finish()?;
     Ok(q)
 }
 
 fn parse_hello(tokens: &[&str]) -> Result<Request, ServiceError> {
-    let mut version: Option<u32> = None;
-    let mut codec = crate::codec::CodecKind::Text;
-    for (key, v) in parse_kv(tokens)? {
-        match key.as_str() {
-            "version" => version = Some(parse_num("version", &v)?),
-            "codec" => {
-                codec = crate::codec::CodecKind::parse(&v).ok_or_else(|| {
-                    ServiceError::Protocol(format!("codec: expected text|binary, got {v:?}"))
-                })?
-            }
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
-    match version {
-        Some(PROTOCOL_VERSION) => Ok(Request::Hello {
-            version: PROTOCOL_VERSION,
-            codec,
-        }),
-        Some(v) => Err(ServiceError::Protocol(format!(
-            "unsupported protocol version {v} (this server speaks {PROTOCOL_VERSION}; \
+    let mut s = TextSource::new(tokens.iter().copied())?;
+    let codec = match s.value("codec") {
+        None => crate::codec::CodecKind::Text,
+        Some(v) => crate::codec::CodecKind::parse(v).ok_or_else(|| {
+            ServiceError::Protocol(format!("codec: expected text|binary, got {v:?}"))
+        })?,
+    };
+    let version = s.u64("version")?;
+    s.finish()?;
+    if version != u64::from(PROTOCOL_VERSION) {
+        return Err(ServiceError::Protocol(format!(
+            "unsupported protocol version {version} (this server speaks {PROTOCOL_VERSION}; \
              v1 clients simply omit HELLO)"
-        ))),
-        None => Err(ServiceError::Protocol("missing version=".into())),
+        )));
     }
+    Ok(Request::Hello {
+        version: PROTOCOL_VERSION,
+        codec,
+    })
 }
 
 fn parse_batch(rest: &[&str]) -> Result<Request, ServiceError> {
@@ -454,83 +431,42 @@ fn parse_batch(rest: &[&str]) -> Result<Request, ServiceError> {
         ));
     };
     let n: usize = parse_num("batch size", n)?;
-    let mut stream = false;
-    for (key, v) in parse_kv(tail)? {
-        match key.as_str() {
-            "stream" => stream = parse_bool("stream", &v)?,
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
+    let mut s = TextSource::new(tail.iter().copied())?;
+    let stream = s.flag("stream")?;
+    s.finish()?;
     Ok(Request::Batch { n, stream })
 }
 
 fn parse_load(tokens: &[&str]) -> Result<Request, ServiceError> {
-    let mut name: Option<String> = None;
-    let mut path: Option<String> = None;
-    for (key, v) in parse_kv(tokens)? {
-        match key.as_str() {
-            "name" => name = Some(v),
-            "path" => path = Some(v),
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
-    Ok(Request::Load {
-        name: name.ok_or_else(|| ServiceError::Protocol("missing name=".into()))?,
-        path: path.ok_or_else(|| ServiceError::Protocol("missing path=".into()))?,
-    })
+    let mut s = TextSource::new(tokens.iter().copied())?;
+    let load = Request::Load {
+        name: s.str("name")?,
+        path: s.str("path")?,
+    };
+    s.finish()?;
+    Ok(load)
 }
 
 fn parse_append(tokens: &[&str]) -> Result<Request, ServiceError> {
-    let mut name: Option<String> = None;
-    let mut row: Option<Vec<f64>> = None;
-    let mut group: Option<usize> = None;
-    for (key, v) in parse_kv(tokens)? {
-        match key.as_str() {
-            "name" => name = Some(v),
-            "row" => {
-                let coords = v
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| parse_num("row", s))
-                    .collect::<Result<Vec<f64>, _>>()?;
-                if coords.is_empty() {
-                    return Err(ServiceError::Protocol("row: empty coordinate list".into()));
-                }
-                row = Some(coords);
-            }
-            "group" => group = Some(parse_num("group", &v)?),
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
+    let mut s = TextSource::new(tokens.iter().copied())?;
+    let name = s.str("name")?;
+    let row = s.list("row", |s| s.f64("row"))?;
+    if row.is_empty() {
+        return Err(ServiceError::Protocol("row: empty coordinate list".into()));
     }
-    Ok(Request::Append {
-        name: name.ok_or_else(|| ServiceError::Protocol("missing name=".into()))?,
-        row: row.ok_or_else(|| ServiceError::Protocol("missing row=".into()))?,
-        group: group.ok_or_else(|| ServiceError::Protocol("missing group=".into()))?,
-    })
+    let group = s.usize("group")?;
+    s.finish()?;
+    Ok(Request::Append { name, row, group })
 }
 
 fn parse_delete(tokens: &[&str]) -> Result<Request, ServiceError> {
-    let mut name: Option<String> = None;
-    let mut row: Option<usize> = None;
-    for (key, v) in parse_kv(tokens)? {
-        match key.as_str() {
-            "name" => name = Some(v),
-            "row" => row = Some(parse_num("row", &v)?),
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
-    Ok(Request::Delete {
-        name: name.ok_or_else(|| ServiceError::Protocol("missing name=".into()))?,
-        row: row.ok_or_else(|| ServiceError::Protocol("missing row=".into()))?,
-    })
+    let mut s = TextSource::new(tokens.iter().copied())?;
+    let delete = Request::Delete {
+        name: s.str("name")?,
+        row: s.usize("row")?,
+    };
+    s.finish()?;
+    Ok(delete)
 }
 
 /// Parses one request line (verbs are case-insensitive).
@@ -673,26 +609,6 @@ impl WireAnswer {
     }
 }
 
-/// Renders the v1 body of an answer (everything after `OK `, without any
-/// `seq` tag).
-fn answer_body(a: &WireAnswer) -> Result<String, ServiceError> {
-    check_wire_safe("alg", &a.alg)?;
-    let mhr = match a.mhr {
-        Some(v) => format!("{v}"),
-        None => "none".to_string(),
-    };
-    let indices: Vec<String> = a.indices.iter().map(|i| i.to_string()).collect();
-    Ok(format!(
-        "alg={} cached={} micros={} err={} mhr={} indices={}",
-        a.alg,
-        a.cached,
-        a.micros,
-        a.violations,
-        mhr,
-        indices.join(",")
-    ))
-}
-
 /// Formats a successful query response line (protocol v1: no `seq`).
 ///
 /// Errors on a wire-unsafe `alg` value instead of silently emitting a
@@ -704,44 +620,134 @@ pub fn format_response(resp: &QueryResponse) -> Result<String, ServiceError> {
     })
 }
 
-/// Formats any service error as an `ERR` line.
-pub fn format_error(e: &ServiceError) -> String {
-    format!("ERR {e}")
+/// Frame tags, one per [`Response`] variant: the first byte of a binary
+/// payload, and the variant [`take_response`] decodes for both codecs.
+pub(crate) mod tag {
+    pub const PONG: u8 = 1;
+    pub const HELLO: u8 = 2;
+    pub const DATASETS: u8 = 3;
+    pub const ALGORITHMS: u8 = 4;
+    pub const STATS: u8 = 5;
+    pub const INFO: u8 = 6;
+    pub const SHARDS: u8 = 7;
+    pub const ANSWER: u8 = 8;
+    pub const BATCH_HEADER: u8 = 9;
+    pub const LOADED: u8 = 10;
+    pub const BYE: u8 = 11;
+    pub const ERROR: u8 = 12;
+    pub const METRICS: u8 = 13;
+    pub const BUSY: u8 = 14;
+    pub const MUTATED: u8 = 15;
 }
 
-/// Encodes a typed [`Response`] as one v1-compatible text line (no
-/// trailing newline).
-///
-/// This *is* the v1 wire format: for every response shape that existed in
-/// protocol v1 the output is byte-identical to the historical `format!`
-/// strings (pinned by the codec-equivalence suite). Free-form strings are
-/// wire-safety-checked; a value that would split into extra tokens or
-/// lines yields an `Err` instead of a desynchronized connection.
-pub fn encode_response_line(resp: &Response) -> Result<String, ServiceError> {
-    let line = match resp {
-        Response::Pong => "OK pong".to_string(),
-        Response::Hello { version, codec } => format!("OK version={version} codec={codec}"),
+/// What [`put_response`] writes a response's fields into; one impl per
+/// codec. `key` names the field on the text wire; the binary codec writes
+/// fields in call order and ignores it. The provided methods compose the
+/// primitive ones the way the binary codec lays them out.
+pub(crate) trait Sink: Sized {
+    /// Starts the frame of the variant `tag`.
+    fn begin(&mut self, tag: u8);
+    fn u64(&mut self, key: &'static str, v: u64);
+    fn f64(&mut self, key: &'static str, v: f64);
+    fn bool(&mut self, key: &'static str, v: bool);
+    fn str(&mut self, key: &'static str, v: &str) -> Result<(), ServiceError>;
+    /// A list of records, each written field by field by `put`.
+    fn list<T>(
+        &mut self,
+        key: &'static str,
+        items: &[T],
+        put: impl Fn(&mut Self, &T) -> Result<(), ServiceError>,
+    ) -> Result<(), ServiceError>;
+
+    fn usize(&mut self, key: &'static str, v: usize) {
+        self.u64(key, v as u64);
+    }
+
+    /// A bool that text writes only when set.
+    fn flag(&mut self, key: &'static str, v: bool) {
+        self.bool(key, v);
+    }
+
+    /// An optional integer; only ever a frame's first field.
+    fn opt_u64(&mut self, key: &'static str, v: Option<u64>) {
+        self.bool(key, v.is_some());
+        v.into_iter().for_each(|v| self.u64(key, v));
+    }
+
+    fn opt_f64(&mut self, key: &'static str, v: Option<f64>) {
+        self.bool(key, v.is_some());
+        v.into_iter().for_each(|v| self.f64(key, v));
+    }
+
+    /// A list of names.
+    fn strs(&mut self, key: &'static str, v: &[String]) -> Result<(), ServiceError> {
+        self.list(key, v, |s, name| s.str(key, name))
+    }
+
+    /// Free text ending the frame (an error message).
+    fn tail(&mut self, key: &'static str, v: &str) -> Result<(), ServiceError> {
+        self.str(key, v)
+    }
+}
+
+/// What [`take_response`] reads a response's fields from; the mirror of
+/// [`Sink`], one impl per codec.
+pub(crate) trait Source: Sized {
+    fn u64(&mut self, key: &'static str) -> Result<u64, ServiceError>;
+    fn f64(&mut self, key: &'static str) -> Result<f64, ServiceError>;
+    fn bool(&mut self, key: &'static str) -> Result<bool, ServiceError>;
+    fn opt_u64(&mut self, key: &'static str) -> Result<Option<u64>, ServiceError>;
+    fn opt_f64(&mut self, key: &'static str) -> Result<Option<f64>, ServiceError>;
+    fn str(&mut self, key: &'static str) -> Result<String, ServiceError>;
+    fn list<T>(
+        &mut self,
+        key: &'static str,
+        take: impl Fn(&mut Self) -> Result<T, ServiceError>,
+    ) -> Result<Vec<T>, ServiceError>;
+    /// Fields appended to a frame after it first shipped, read by `take`.
+    /// A tier that is wholly absent (an older peer's frame) decodes to
+    /// `default`; a partly present tier is corruption.
+    fn appended<T>(
+        &mut self,
+        default: T,
+        take: impl Fn(&mut Self) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError>;
+
+    fn usize(&mut self, key: &'static str) -> Result<usize, ServiceError> {
+        usize::try_from(self.u64(key)?)
+            .map_err(|_| ServiceError::Protocol(format!("{key}: value exceeds usize")))
+    }
+
+    fn flag(&mut self, key: &'static str) -> Result<bool, ServiceError> {
+        self.bool(key)
+    }
+
+    fn strs(&mut self, key: &'static str) -> Result<Vec<String>, ServiceError> {
+        self.list(key, |s| s.str(key))
+    }
+
+    fn tail(&mut self, key: &'static str) -> Result<String, ServiceError> {
+        self.str(key)
+    }
+}
+
+/// The response schema, encode side: every variant's fields, in wire
+/// order. [`take_response`] must read them back in the same order.
+pub(crate) fn put_response<S: Sink>(resp: &Response, s: &mut S) -> Result<(), ServiceError> {
+    match resp {
+        Response::Pong => s.begin(tag::PONG),
+        Response::Hello { version, codec } => {
+            s.begin(tag::HELLO);
+            s.u64("version", u64::from(*version));
+            s.str("codec", &codec.to_string())?;
+        }
         Response::Datasets(summaries) => {
-            for s in summaries {
-                check_wire_safe("datasets", s)?;
-                if s.contains(',') || s.is_empty() {
-                    return Err(ServiceError::Protocol(format!(
-                        "datasets: summary {s:?} would corrupt the comma-joined list"
-                    )));
-                }
-            }
-            format!("OK datasets={}", summaries.join(","))
+            s.begin(tag::DATASETS);
+            s.strs("datasets", summaries)?;
         }
         Response::Algorithms(names) => {
-            for s in names {
-                check_wire_safe("algorithms", s)?;
-                if s.contains(',') || s.is_empty() {
-                    return Err(ServiceError::Protocol(format!(
-                        "algorithms: name {s:?} would corrupt the comma-joined list"
-                    )));
-                }
-            }
-            format!("OK algorithms={}", names.join(","))
+            s.begin(tag::ALGORITHMS);
+            s.strs("algorithms", names)?;
         }
         Response::Stats {
             hits,
@@ -758,13 +764,23 @@ pub fn encode_response_line(resp: &Response) -> Result<String, ServiceError> {
             shed_total,
             conns_open,
             mutations_total,
-        } => format!(
-            "OK hits={hits} misses={misses} entries={entries} evictions={evictions} \
-             hit_rate={hit_rate} warm_hits={warm_hits} warm_misses={warm_misses} \
-             warm_entries={warm_entries} uptime_secs={uptime_secs} total_queries={total_queries} \
-             queue_depth={queue_depth} shed_total={shed_total} conns_open={conns_open} \
-             mutations_total={mutations_total}"
-        ),
+        } => {
+            s.begin(tag::STATS);
+            s.u64("hits", *hits);
+            s.u64("misses", *misses);
+            s.usize("entries", *entries);
+            s.u64("evictions", *evictions);
+            s.f64("hit_rate", *hit_rate);
+            s.u64("warm_hits", *warm_hits);
+            s.u64("warm_misses", *warm_misses);
+            s.usize("warm_entries", *warm_entries);
+            s.u64("uptime_secs", *uptime_secs);
+            s.u64("total_queries", *total_queries);
+            s.u64("queue_depth", *queue_depth);
+            s.u64("shed_total", *shed_total);
+            s.u64("conns_open", *conns_open);
+            s.u64("mutations_total", *mutations_total);
+        }
         Response::Info {
             shards,
             strategy,
@@ -775,48 +791,60 @@ pub fn encode_response_line(resp: &Response) -> Result<String, ServiceError> {
             uptime_secs,
             total_queries,
         } => {
-            check_wire_safe("strategy", strategy)?;
-            format!(
-                "OK shards={shards} strategy={strategy} workers={workers} datasets={datasets} \
-                 cache_entries={cache_entries} warmstart={warmstart} uptime_secs={uptime_secs} \
-                 total_queries={total_queries}"
-            )
+            s.begin(tag::INFO);
+            s.usize("shards", *shards);
+            s.str("strategy", strategy)?;
+            s.usize("workers", *workers);
+            s.usize("datasets", *datasets);
+            s.usize("cache_entries", *cache_entries);
+            s.bool("warmstart", *warmstart);
+            s.u64("uptime_secs", *uptime_secs);
+            s.u64("total_queries", *total_queries);
         }
         Response::Metrics {
             enabled,
             counters,
             histograms,
         } => {
-            let mut cs = Vec::with_capacity(counters.len());
-            for (name, v) in counters {
-                check_metric_name(name)?;
-                cs.push(format!("{name}:{v}"));
-            }
-            let mut hs = Vec::with_capacity(histograms.len());
-            for h in histograms {
-                check_metric_name(&h.name)?;
-                hs.push(format!(
-                    "{}:{}:{}:{}:{}:{}:{}",
-                    h.name, h.count, h.sum, h.p50, h.p90, h.p99, h.max
-                ));
-            }
-            format!(
-                "OK metrics enabled={enabled} counters={} histos={}",
-                cs.join(","),
-                hs.join(",")
-            )
+            s.begin(tag::METRICS);
+            s.bool("enabled", *enabled);
+            s.list("counters", counters, |s, (name, v)| {
+                s.str("name", name)?;
+                s.u64("value", *v);
+                Ok(())
+            })?;
+            s.list("histos", histograms, |s, h| {
+                s.str("name", &h.name)?;
+                s.u64("count", h.count);
+                s.u64("sum", h.sum);
+                s.u64("p50", h.p50);
+                s.u64("p90", h.p90);
+                s.u64("p99", h.p99);
+                s.u64("max", h.max);
+                Ok(())
+            })?;
         }
-        Response::Shards(n) => format!("OK shards={n}"),
-        Response::Answer { seq, answer } => match seq {
-            None => format!("OK {}", answer_body(answer)?),
-            Some(s) => format!("OK seq={s} {}", answer_body(answer)?),
-        },
+        Response::Shards(n) => {
+            s.begin(tag::SHARDS);
+            s.usize("shards", *n);
+        }
+        Response::Answer { seq, answer } => {
+            s.begin(tag::ANSWER);
+            s.opt_u64("seq", *seq);
+            s.str("alg", &answer.alg)?;
+            s.bool("cached", answer.cached);
+            s.u64("micros", answer.micros);
+            s.usize("err", answer.violations);
+            s.opt_f64("mhr", answer.mhr);
+            s.list("indices", &answer.indices, |s, &i| {
+                s.usize("index", i);
+                Ok(())
+            })?;
+        }
         Response::BatchHeader { n, stream } => {
-            if *stream {
-                format!("OK batch={n} stream=true")
-            } else {
-                format!("OK batch={n}")
-            }
+            s.begin(tag::BATCH_HEADER);
+            s.usize("batch", *n);
+            s.flag("stream", *stream);
         }
         Response::Loaded {
             name,
@@ -825,8 +853,12 @@ pub fn encode_response_line(resp: &Response) -> Result<String, ServiceError> {
             groups,
             skyline,
         } => {
-            check_wire_safe("name", name)?;
-            format!("OK loaded name={name} n={rows} d={dim} groups={groups} skyline={skyline}")
+            s.begin(tag::LOADED);
+            s.str("name", name)?;
+            s.usize("n", *rows);
+            s.usize("d", *dim);
+            s.usize("groups", *groups);
+            s.usize("skyline", *skyline);
         }
         Response::Mutated {
             name,
@@ -837,127 +869,592 @@ pub fn encode_response_line(resp: &Response) -> Result<String, ServiceError> {
             cache_dropped,
             warm_dropped,
         } => {
-            check_wire_safe("name", name)?;
-            check_wire_safe("op", op)?;
-            format!(
-                "OK mutated name={name} op={op} n={rows} skyline={skyline} \
-                 sky_changed={sky_changed} cache_dropped={cache_dropped} \
-                 warm_dropped={warm_dropped}"
-            )
+            s.begin(tag::MUTATED);
+            s.str("name", name)?;
+            s.str("op", op)?;
+            s.usize("n", *rows);
+            s.usize("skyline", *skyline);
+            s.bool("sky_changed", *sky_changed);
+            s.u64("cache_dropped", *cache_dropped);
+            s.u64("warm_dropped", *warm_dropped);
         }
-        Response::Bye => "OK bye".to_string(),
+        Response::Bye => s.begin(tag::BYE),
         Response::Busy {
             seq,
             retry_after_ms,
             message,
         } => {
-            if message.contains(['\n', '\r']) {
-                return Err(ServiceError::Protocol(
-                    "busy message contains a newline (not wire-safe)".into(),
-                ));
-            }
-            // Old clients parse this as a regular ERR line; new ones
-            // recognize the `busy retry_after_ms=` marker.
-            match seq {
-                None => format!("ERR busy retry_after_ms={retry_after_ms} {message}"),
-                Some(s) => format!("ERR seq={s} busy retry_after_ms={retry_after_ms} {message}"),
-            }
+            s.begin(tag::BUSY);
+            s.opt_u64("seq", *seq);
+            s.u64("retry_after_ms", *retry_after_ms);
+            s.tail("message", message)?;
         }
         Response::Error { seq, message } => {
-            if message.contains(['\n', '\r']) {
-                return Err(ServiceError::Protocol(
-                    "error message contains a newline (not wire-safe)".into(),
-                ));
-            }
-            match seq {
-                None => format!("ERR {message}"),
-                Some(s) => format!("ERR seq={s} {message}"),
-            }
+            s.begin(tag::ERROR);
+            s.opt_u64("seq", *seq);
+            s.tail("message", message)?;
         }
-    };
-    Ok(line)
+    }
+    Ok(())
 }
 
-fn decode_answer_tokens(seq: Option<u64>, tokens: &[&str]) -> Result<Response, ServiceError> {
-    let mut ans = WireAnswer {
-        alg: String::new(),
-        cached: false,
-        micros: 0,
-        violations: 0,
-        mhr: None,
-        indices: Vec::new(),
-    };
-    for (key, v) in parse_kv(tokens)? {
-        match key.as_str() {
-            "alg" => ans.alg = v,
-            "cached" => ans.cached = parse_bool("cached", &v)?,
-            "micros" => ans.micros = parse_num("micros", &v)?,
-            "err" => ans.violations = parse_num("err", &v)?,
-            "mhr" => {
-                ans.mhr = match v.as_str() {
-                    "none" => None,
-                    s => Some(parse_num("mhr", s)?),
+/// The response schema, decode side: the variant `tag`'s fields, read in
+/// [`put_response`]'s order. Fields added to a variant after it shipped
+/// are read inside [`Source::appended`] groups, one group per tier.
+pub(crate) fn take_response<S: Source>(tag: u8, s: &mut S) -> Result<Response, ServiceError> {
+    Ok(match tag {
+        tag::PONG => Response::Pong,
+        tag::HELLO => Response::Hello {
+            version: u32::try_from(s.u64("version")?)
+                .map_err(|_| ServiceError::Protocol("version exceeds u32".into()))?,
+            codec: {
+                let v = s.str("codec")?;
+                crate::codec::CodecKind::parse(&v)
+                    .ok_or_else(|| ServiceError::Protocol(format!("codec: unknown kind {v:?}")))?
+            },
+        },
+        tag::DATASETS => Response::Datasets(s.strs("datasets")?),
+        tag::ALGORITHMS => Response::Algorithms(s.strs("algorithms")?),
+        tag::STATS => {
+            let hits = s.u64("hits")?;
+            let misses = s.u64("misses")?;
+            let entries = s.usize("entries")?;
+            let evictions = s.u64("evictions")?;
+            let hit_rate = s.f64("hit_rate")?;
+            let (warm_hits, warm_misses, warm_entries) = s.appended((0, 0, 0), |s| {
+                Ok((
+                    s.u64("warm_hits")?,
+                    s.u64("warm_misses")?,
+                    s.usize("warm_entries")?,
+                ))
+            })?;
+            let (uptime_secs, total_queries) = s.appended((0, 0), |s| {
+                Ok((s.u64("uptime_secs")?, s.u64("total_queries")?))
+            })?;
+            let (queue_depth, shed_total, conns_open) = s.appended((0, 0, 0), |s| {
+                Ok((
+                    s.u64("queue_depth")?,
+                    s.u64("shed_total")?,
+                    s.u64("conns_open")?,
+                ))
+            })?;
+            let mutations_total = s.appended(0, |s| s.u64("mutations_total"))?;
+            Response::Stats {
+                hits,
+                misses,
+                entries,
+                evictions,
+                hit_rate,
+                warm_hits,
+                warm_misses,
+                warm_entries,
+                uptime_secs,
+                total_queries,
+                queue_depth,
+                shed_total,
+                conns_open,
+                mutations_total,
+            }
+        }
+        tag::INFO => {
+            let shards = s.usize("shards")?;
+            let strategy = s.str("strategy")?;
+            let workers = s.usize("workers")?;
+            let datasets = s.usize("datasets")?;
+            let cache_entries = s.usize("cache_entries")?;
+            // Absent means a pre-warm-start peer, whose tier was always on.
+            let warmstart = s.appended(true, |s| s.bool("warmstart"))?;
+            let (uptime_secs, total_queries) = s.appended((0, 0), |s| {
+                Ok((s.u64("uptime_secs")?, s.u64("total_queries")?))
+            })?;
+            Response::Info {
+                shards,
+                strategy,
+                workers,
+                datasets,
+                cache_entries,
+                warmstart,
+                uptime_secs,
+                total_queries,
+            }
+        }
+        tag::METRICS => Response::Metrics {
+            enabled: s.bool("enabled")?,
+            counters: s.list("counters", |s| Ok((s.str("name")?, s.u64("value")?)))?,
+            histograms: s.list("histos", |s| {
+                Ok(WireHistogram {
+                    name: s.str("name")?,
+                    count: s.u64("count")?,
+                    sum: s.u64("sum")?,
+                    p50: s.u64("p50")?,
+                    p90: s.u64("p90")?,
+                    p99: s.u64("p99")?,
+                    max: s.u64("max")?,
+                })
+            })?,
+        },
+        tag::SHARDS => Response::Shards(s.usize("shards")?),
+        tag::ANSWER => Response::Answer {
+            seq: s.opt_u64("seq")?,
+            answer: WireAnswer {
+                alg: s.str("alg")?,
+                cached: s.bool("cached")?,
+                micros: s.u64("micros")?,
+                violations: s.usize("err")?,
+                mhr: s.opt_f64("mhr")?,
+                indices: s.list("indices", |s| s.usize("index"))?,
+            },
+        },
+        tag::BATCH_HEADER => Response::BatchHeader {
+            n: s.usize("batch")?,
+            stream: s.flag("stream")?,
+        },
+        tag::LOADED => Response::Loaded {
+            name: s.str("name")?,
+            rows: s.usize("n")?,
+            dim: s.usize("d")?,
+            groups: s.usize("groups")?,
+            skyline: s.usize("skyline")?,
+        },
+        tag::MUTATED => {
+            let name = s.str("name")?;
+            let op = s.str("op")?;
+            let rows = s.usize("n")?;
+            let skyline = s.usize("skyline")?;
+            let (sky_changed, cache_dropped, warm_dropped) = s.appended((false, 0, 0), |s| {
+                Ok((
+                    s.bool("sky_changed")?,
+                    s.u64("cache_dropped")?,
+                    s.u64("warm_dropped")?,
+                ))
+            })?;
+            Response::Mutated {
+                name,
+                op,
+                rows,
+                skyline,
+                sky_changed,
+                cache_dropped,
+                warm_dropped,
+            }
+        }
+        tag::BYE => Response::Bye,
+        tag::BUSY => Response::Busy {
+            seq: s.opt_u64("seq")?,
+            retry_after_ms: s.u64("retry_after_ms")?,
+            message: s.tail("message")?,
+        },
+        tag::ERROR => Response::Error {
+            seq: s.opt_u64("seq")?,
+            message: s.tail("message")?,
+        },
+        t => {
+            return Err(ServiceError::Protocol(format!(
+                "malformed frame: unknown tag {t}"
+            )))
+        }
+    })
+}
+
+/// Marker words: text-only syntax for variants whose first field does
+/// not name them. A marker follows the optional leading `seq=`.
+const MARKERS: [(u8, &str); 6] = [
+    (tag::PONG, "pong"),
+    (tag::BYE, "bye"),
+    (tag::LOADED, "loaded"),
+    (tag::MUTATED, "mutated"),
+    (tag::METRICS, "metrics"),
+    (tag::BUSY, "busy"),
+];
+
+/// The text codec's [`Sink`]: appends ` key=value` tokens to a line,
+/// refusing any value that would split or corrupt it.
+struct TextSink<'o> {
+    out: &'o mut Vec<u8>,
+    /// The variant's marker word, written before the first field after
+    /// `seq=`.
+    marker: Option<&'static str>,
+    /// Inside a list record: `Some(true)` before its first field. Record
+    /// fields are bare values joined by `:`, records by `,`.
+    item: Option<bool>,
+}
+
+impl TextSink<'_> {
+    fn flush_marker(&mut self) {
+        if let Some(m) = self.marker.take() {
+            self.out.push(b' ');
+            self.out.extend_from_slice(m.as_bytes());
+        }
+    }
+
+    /// Writes what precedes a field's value.
+    fn key(&mut self, key: &str) {
+        match &mut self.item {
+            Some(first) => {
+                if !std::mem::replace(first, false) {
+                    self.out.push(b':');
                 }
             }
-            "indices" => {
-                ans.indices = v
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| parse_num("indices", s))
-                    .collect::<Result<_, _>>()?;
-            }
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
+            None => {
+                self.flush_marker();
+                self.out.push(b' ');
+                self.out.extend_from_slice(key.as_bytes());
+                self.out.push(b'=');
             }
         }
     }
-    Ok(Response::Answer { seq, answer: ans })
-}
 
-fn split_list(v: &str) -> Vec<String> {
-    v.split(',')
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
-fn kv_map(tokens: &[&str]) -> Result<std::collections::HashMap<String, String>, ServiceError> {
-    Ok(parse_kv(tokens)?.into_iter().collect())
-}
-
-fn field<T: std::str::FromStr>(
-    m: &std::collections::HashMap<String, String>,
-    key: &str,
-) -> Result<T, ServiceError> {
-    let v = m
-        .get(key)
-        .ok_or_else(|| ServiceError::Protocol(format!("missing field {key}=")))?;
-    parse_num(key, v)
-}
-
-/// Like [`field`] but tolerating absence — for fields added to a response
-/// after v1 shipped, so pre-extension transcripts still decode.
-fn field_or<T: std::str::FromStr>(
-    m: &std::collections::HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, ServiceError> {
-    match m.get(key) {
-        None => Ok(default),
-        Some(v) => parse_num(key, v),
+    fn display(&mut self, key: &str, v: impl std::fmt::Display) {
+        use std::io::Write;
+        self.key(key);
+        write!(self.out, "{v}").expect("writing to a Vec cannot fail");
     }
 }
 
-/// [`field_or`] for booleans (which parse via [`parse_bool`], not
-/// `FromStr`).
-fn flag_or(
-    m: &std::collections::HashMap<String, String>,
-    key: &str,
-    default: bool,
-) -> Result<bool, ServiceError> {
-    match m.get(key) {
-        None => Ok(default),
-        Some(v) => parse_bool(key, v),
+impl Sink for TextSink<'_> {
+    fn begin(&mut self, tag: u8) {
+        let prefix: &[u8] = match tag {
+            tag::ERROR | tag::BUSY => b"ERR",
+            _ => b"OK",
+        };
+        self.out.extend_from_slice(prefix);
+        self.marker = MARKERS.iter().find(|(t, _)| *t == tag).map(|(_, m)| *m);
+    }
+
+    fn u64(&mut self, key: &'static str, v: u64) {
+        self.display(key, v);
+    }
+
+    fn f64(&mut self, key: &'static str, v: f64) {
+        self.display(key, v);
+    }
+
+    fn bool(&mut self, key: &'static str, v: bool) {
+        self.display(key, v);
+    }
+
+    fn flag(&mut self, key: &'static str, v: bool) {
+        if v {
+            self.display(key, v);
+        }
+    }
+
+    fn opt_u64(&mut self, key: &'static str, v: Option<u64>) {
+        // Omitted when absent, and written ahead of the marker word.
+        if let Some(v) = v {
+            use std::io::Write;
+            write!(self.out, " {key}={v}").expect("writing to a Vec cannot fail");
+        }
+    }
+
+    fn opt_f64(&mut self, key: &'static str, v: Option<f64>) {
+        match v {
+            Some(v) => self.display(key, v),
+            None => self.display(key, "none"),
+        }
+    }
+
+    fn str(&mut self, key: &'static str, v: &str) -> Result<(), ServiceError> {
+        check_wire_safe(key, v)?;
+        if self.item.is_some() && (v.is_empty() || v.contains([',', ':'])) {
+            return Err(ServiceError::Protocol(format!(
+                "{key}: {v:?} would corrupt the list encoding"
+            )));
+        }
+        self.display(key, v);
+        Ok(())
+    }
+
+    /// Names may contain `:`, unlike record fields: a name is its whole
+    /// list entry.
+    fn strs(&mut self, key: &'static str, v: &[String]) -> Result<(), ServiceError> {
+        self.list(key, v, |s, name| {
+            check_wire_safe(key, name)?;
+            if name.is_empty() || name.contains(',') {
+                return Err(ServiceError::Protocol(format!(
+                    "{key}: {name:?} would corrupt the comma-joined list"
+                )));
+            }
+            s.out.extend_from_slice(name.as_bytes());
+            Ok(())
+        })
+    }
+
+    fn list<T>(
+        &mut self,
+        key: &'static str,
+        items: &[T],
+        put: impl Fn(&mut Self, &T) -> Result<(), ServiceError>,
+    ) -> Result<(), ServiceError> {
+        self.key(key);
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                self.out.push(b',');
+            }
+            self.item = Some(true);
+            put(self, item)?;
+        }
+        self.item = None;
+        Ok(())
+    }
+
+    fn tail(&mut self, key: &'static str, v: &str) -> Result<(), ServiceError> {
+        if v.contains(['\n', '\r']) {
+            return Err(ServiceError::Protocol(format!(
+                "{key} contains a newline (not wire-safe)"
+            )));
+        }
+        self.flush_marker();
+        self.out.push(b' ');
+        self.out.extend_from_slice(v.as_bytes());
+        Ok(())
+    }
+}
+
+/// Appends `resp`'s text line, without its newline, to `out`; on error
+/// `out` is left as it was.
+pub(crate) fn encode_text(resp: &Response, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+    let start = out.len();
+    let mut sink = TextSink {
+        out,
+        marker: None,
+        item: None,
+    };
+    let written = put_response(resp, &mut sink);
+    sink.flush_marker();
+    if written.is_err() {
+        out.truncate(start);
+    }
+    written
+}
+
+/// Encodes a typed [`Response`] as one v1-compatible text line (no
+/// trailing newline).
+///
+/// This *is* the v1 wire format: for every response shape that existed in
+/// protocol v1 the output is byte-identical to the historical lines
+/// (pinned by `tests/wire_golden.rs`). Free-form strings are
+/// wire-safety-checked; a value that would split into extra tokens or
+/// lines yields an `Err` instead of a desynchronized connection.
+pub fn encode_response_line(resp: &Response) -> Result<String, ServiceError> {
+    let mut out = Vec::new();
+    encode_text(resp, &mut out)?;
+    Ok(String::from_utf8(out).expect("text frames are written from UTF-8 pieces"))
+}
+
+/// A text line's `key=value` fields, looked up by key (case-insensitively;
+/// the last of duplicate keys wins): the text codec's [`Source`], and the
+/// reader of every request line.
+struct TextSource<'a> {
+    /// `(key, value, read)` per field, in line order.
+    fields: Vec<(&'a str, &'a str, bool)>,
+    /// The unread fields of the list record being read.
+    item: Option<std::str::Split<'a, char>>,
+    /// How many lookups found their key.
+    found: usize,
+}
+
+impl<'a> TextSource<'a> {
+    /// Splits a line into its variant tag and its fields: the text-only
+    /// `OK`/`ERR` prefixes, marker words, and the
+    /// `ERR [seq=N] [busy retry_after_ms=N] <message>` shape.
+    /// Reads a line's `key=value` tokens.
+    fn new(tokens: impl IntoIterator<Item = &'a str>) -> Result<Self, ServiceError> {
+        let fields = tokens
+            .into_iter()
+            .map(|t| match t.split_once('=') {
+                Some((k, v)) => Ok((k, v, false)),
+                None => Err(ServiceError::Protocol(format!(
+                    "expected key=value, got {t:?}"
+                ))),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(TextSource {
+            fields,
+            item: None,
+            found: 0,
+        })
+    }
+
+    /// Splits a response line into its variant tag and its fields: the
+    /// text-only `OK`/`ERR` prefixes, marker words, and the
+    /// `ERR [seq=N] [busy retry_after_ms=N] <message>` shape.
+    fn parse(line: &'a str) -> Result<(u8, TextSource<'a>), ServiceError> {
+        if let Some(body) = line.strip_prefix("ERR ") {
+            // A leading seq=N or busy marker that does not parse stays
+            // part of the message.
+            let mut source = TextSource::new(None)?;
+            let mut rest = body;
+            match rest.strip_prefix("seq=").and_then(|t| t.split_once(' ')) {
+                Some((n, msg)) if n.parse::<u64>().is_ok() => {
+                    source.fields.push(("seq", n, false));
+                    rest = msg;
+                }
+                _ => {}
+            }
+            let busy = rest.strip_prefix("busy retry_after_ms=");
+            let tag = match busy.and_then(|t| t.split_once(' ')) {
+                Some((ms, msg)) if ms.parse::<u64>().is_ok() => {
+                    source.fields.push(("retry_after_ms", ms, false));
+                    rest = msg;
+                    tag::BUSY
+                }
+                _ => tag::ERROR,
+            };
+            source.fields.push(("message", rest, false));
+            return Ok((tag, source));
+        }
+        let Some(body) = line.strip_prefix("OK ") else {
+            return Err(ServiceError::Protocol(format!(
+                "expected OK/ERR line, got {line:?}"
+            )));
+        };
+        let mut tokens = body.split_whitespace().peekable();
+        let Some(&first) = tokens.peek() else {
+            return Err(ServiceError::Protocol("empty OK response".into()));
+        };
+        let tag = match MARKERS.iter().find(|(_, m)| *m == first) {
+            Some(&(tag, _)) => {
+                tokens.next();
+                tag
+            }
+            None => match first.split_once('=').map(|(k, _)| k) {
+                Some("version") => tag::HELLO,
+                Some("datasets") => tag::DATASETS,
+                Some("algorithms") => tag::ALGORITHMS,
+                Some("hits") => tag::STATS,
+                Some("shards") if body.split_whitespace().nth(1).is_none() => tag::SHARDS,
+                Some("shards") => tag::INFO,
+                Some("batch") => tag::BATCH_HEADER,
+                Some("seq" | "alg") => tag::ANSWER,
+                _ => {
+                    return Err(ServiceError::Protocol(format!(
+                        "unrecognized response line {line:?}"
+                    )))
+                }
+            },
+        };
+        Ok((tag, TextSource::new(tokens)?))
+    }
+
+    /// The raw value of `key`: the next field of the current list record,
+    /// or else the line's field of that name.
+    fn value(&mut self, key: &str) -> Option<&'a str> {
+        if let Some(item) = &mut self.item {
+            return item.next();
+        }
+        let mut found = None;
+        for (k, v, read) in &mut self.fields {
+            if k.eq_ignore_ascii_case(key) {
+                *read = true;
+                found = Some(*v);
+            }
+        }
+        self.found += usize::from(found.is_some());
+        found
+    }
+
+    fn parsed<T>(
+        &mut self,
+        key: &str,
+        parse: impl FnOnce(&'a str) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        match self.value(key) {
+            Some(v) => parse(v),
+            None => Err(ServiceError::Protocol(format!("missing field {key}="))),
+        }
+    }
+
+    /// Rejects fields the schema did not read.
+    fn finish(&self) -> Result<(), ServiceError> {
+        match self.fields.iter().find(|f| !f.2) {
+            Some((k, _, _)) => Err(ServiceError::Protocol(format!("unknown field {k:?}"))),
+            None => Ok(()),
+        }
+    }
+}
+
+impl Source for TextSource<'_> {
+    fn u64(&mut self, key: &'static str) -> Result<u64, ServiceError> {
+        self.parsed(key, |v| parse_num(key, v))
+    }
+
+    fn f64(&mut self, key: &'static str) -> Result<f64, ServiceError> {
+        self.parsed(key, |v| parse_num(key, v))
+    }
+
+    fn bool(&mut self, key: &'static str) -> Result<bool, ServiceError> {
+        self.parsed(key, |v| parse_bool(key, v))
+    }
+
+    fn flag(&mut self, key: &'static str) -> Result<bool, ServiceError> {
+        self.value(key).map_or(Ok(false), |v| parse_bool(key, v))
+    }
+
+    fn opt_u64(&mut self, key: &'static str) -> Result<Option<u64>, ServiceError> {
+        match self.fields.first_mut() {
+            Some(f) if f.0.eq_ignore_ascii_case(key) => {
+                f.2 = true;
+                parse_num(key, f.1).map(Some)
+            }
+            _ => Ok(None),
+        }
+    }
+
+    fn opt_f64(&mut self, key: &'static str) -> Result<Option<f64>, ServiceError> {
+        self.parsed(key, |v| match v {
+            "none" => Ok(None),
+            v => parse_num(key, v).map(Some),
+        })
+    }
+
+    fn str(&mut self, key: &'static str) -> Result<String, ServiceError> {
+        self.parsed(key, |v| Ok(v.to_string()))
+    }
+
+    fn strs(&mut self, key: &'static str) -> Result<Vec<String>, ServiceError> {
+        self.parsed(key, |v| {
+            Ok(v.split(',')
+                .filter(|s| !s.is_empty())
+                .map(str::to_string)
+                .collect())
+        })
+    }
+
+    fn list<T>(
+        &mut self,
+        key: &'static str,
+        take: impl Fn(&mut Self) -> Result<T, ServiceError>,
+    ) -> Result<Vec<T>, ServiceError> {
+        let records = self.parsed(key, Ok)?;
+        records
+            .split(',')
+            .filter(|r| !r.is_empty())
+            .map(|record| {
+                self.item = Some(record.split(':'));
+                let taken = take(self)?;
+                match self.item.take().and_then(|mut rest| rest.next()) {
+                    None => Ok(taken),
+                    Some(_) => Err(ServiceError::Protocol(format!(
+                        "{key}: record {record:?} has extra fields"
+                    ))),
+                }
+            })
+            .collect()
+    }
+
+    fn appended<T>(
+        &mut self,
+        default: T,
+        take: impl Fn(&mut Self) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        // A tier whose first field is missing is absent. Any later field
+        // of it that is present stays unread, and `finish` rejects it.
+        let found = self.found;
+        match take(self) {
+            Err(_) if self.found == found => Ok(default),
+            taken => taken,
+        }
     }
 }
 
@@ -965,192 +1462,10 @@ fn flag_or(
 /// exact inverse of [`encode_response_line`] (round-trip pinned by the
 /// codec-equivalence suite, `mhr` to the bit).
 pub fn decode_response_line(line: &str) -> Result<Response, ServiceError> {
-    if let Some(body) = line.strip_prefix("ERR ") {
-        // An optional leading seq=N token tags streamed per-query errors.
-        // A seq= prefix that does not parse falls back to being part of
-        // the message — exactly the historical behavior.
-        let (seq, rest) = match body.strip_prefix("seq=") {
-            Some(tail) => match tail.split_once(' ') {
-                Some((s, msg)) => match s.parse::<u64>() {
-                    Ok(s) => (Some(s), msg),
-                    Err(_) => (None, body),
-                },
-                None => (None, body),
-            },
-            None => (None, body),
-        };
-        // The admission-control shed marker; anything else (including a
-        // malformed retry value) stays a plain error, so pre-admission
-        // transcripts decode unchanged.
-        if let Some(tail) = rest.strip_prefix("busy retry_after_ms=") {
-            if let Some((ms, msg)) = tail.split_once(' ') {
-                if let Ok(retry_after_ms) = ms.parse::<u64>() {
-                    return Ok(Response::Busy {
-                        seq,
-                        retry_after_ms,
-                        message: msg.to_string(),
-                    });
-                }
-            }
-        }
-        return Ok(Response::Error {
-            seq,
-            message: rest.to_string(),
-        });
-    }
-    let Some(body) = line.strip_prefix("OK ") else {
-        return Err(ServiceError::Protocol(format!(
-            "expected OK/ERR line, got {line:?}"
-        )));
-    };
-    let tokens: Vec<&str> = body.split_whitespace().collect();
-    let Some(first) = tokens.first() else {
-        return Err(ServiceError::Protocol("empty OK response".into()));
-    };
-    match *first {
-        "pong" => Ok(Response::Pong),
-        "bye" => Ok(Response::Bye),
-        "metrics" => {
-            let m = kv_map(&tokens[1..])?;
-            let enabled = flag_or(&m, "enabled", true)?;
-            let mut counters = Vec::new();
-            for item in split_list(m.get("counters").map(String::as_str).unwrap_or("")) {
-                let (name, v) = item.split_once(':').ok_or_else(|| {
-                    ServiceError::Protocol(format!("counters: expected name:value, got {item:?}"))
-                })?;
-                counters.push((name.to_string(), parse_num("counters", v)?));
-            }
-            let mut histograms = Vec::new();
-            for item in split_list(m.get("histos").map(String::as_str).unwrap_or("")) {
-                let parts: Vec<&str> = item.split(':').collect();
-                let [name, count, sum, p50, p90, p99, max] = parts.as_slice() else {
-                    return Err(ServiceError::Protocol(format!(
-                        "histos: expected name:count:sum:p50:p90:p99:max, got {item:?}"
-                    )));
-                };
-                histograms.push(WireHistogram {
-                    name: name.to_string(),
-                    count: parse_num("histos", count)?,
-                    sum: parse_num("histos", sum)?,
-                    p50: parse_num("histos", p50)?,
-                    p90: parse_num("histos", p90)?,
-                    p99: parse_num("histos", p99)?,
-                    max: parse_num("histos", max)?,
-                });
-            }
-            Ok(Response::Metrics {
-                enabled,
-                counters,
-                histograms,
-            })
-        }
-        "mutated" => {
-            let m = kv_map(&tokens[1..])?;
-            Ok(Response::Mutated {
-                name: m
-                    .get("name")
-                    .cloned()
-                    .ok_or_else(|| ServiceError::Protocol("missing field name=".into()))?,
-                op: m
-                    .get("op")
-                    .cloned()
-                    .ok_or_else(|| ServiceError::Protocol("missing field op=".into()))?,
-                rows: field(&m, "n")?,
-                skyline: field(&m, "skyline")?,
-                sky_changed: flag_or(&m, "sky_changed", false)?,
-                cache_dropped: field_or(&m, "cache_dropped", 0)?,
-                warm_dropped: field_or(&m, "warm_dropped", 0)?,
-            })
-        }
-        "loaded" => {
-            let m = kv_map(&tokens[1..])?;
-            Ok(Response::Loaded {
-                name: m
-                    .get("name")
-                    .cloned()
-                    .ok_or_else(|| ServiceError::Protocol("missing field name=".into()))?,
-                rows: field(&m, "n")?,
-                dim: field(&m, "d")?,
-                groups: field(&m, "groups")?,
-                skyline: field(&m, "skyline")?,
-            })
-        }
-        t => match t.split_once('=') {
-            Some(("version", _)) => {
-                let m = kv_map(&tokens)?;
-                Ok(Response::Hello {
-                    version: field(&m, "version")?,
-                    codec: {
-                        let v = m
-                            .get("codec")
-                            .cloned()
-                            .ok_or_else(|| ServiceError::Protocol("missing field codec=".into()))?;
-                        crate::codec::CodecKind::parse(&v).ok_or_else(|| {
-                            ServiceError::Protocol(format!("codec: unknown kind {v:?}"))
-                        })?
-                    },
-                })
-            }
-            Some(("datasets", v)) => Ok(Response::Datasets(split_list(v))),
-            Some(("algorithms", v)) => Ok(Response::Algorithms(split_list(v))),
-            Some(("hits", _)) => {
-                let m = kv_map(&tokens)?;
-                Ok(Response::Stats {
-                    hits: field(&m, "hits")?,
-                    misses: field(&m, "misses")?,
-                    entries: field(&m, "entries")?,
-                    evictions: field(&m, "evictions")?,
-                    hit_rate: field(&m, "hit_rate")?,
-                    warm_hits: field_or(&m, "warm_hits", 0)?,
-                    warm_misses: field_or(&m, "warm_misses", 0)?,
-                    warm_entries: field_or(&m, "warm_entries", 0)?,
-                    uptime_secs: field_or(&m, "uptime_secs", 0)?,
-                    total_queries: field_or(&m, "total_queries", 0)?,
-                    queue_depth: field_or(&m, "queue_depth", 0)?,
-                    shed_total: field_or(&m, "shed_total", 0)?,
-                    conns_open: field_or(&m, "conns_open", 0)?,
-                    mutations_total: field_or(&m, "mutations_total", 0)?,
-                })
-            }
-            Some(("shards", v)) if tokens.len() == 1 => {
-                Ok(Response::Shards(parse_num("shards", v)?))
-            }
-            Some(("shards", _)) => {
-                let m = kv_map(&tokens)?;
-                Ok(Response::Info {
-                    shards: field(&m, "shards")?,
-                    strategy: m
-                        .get("strategy")
-                        .cloned()
-                        .ok_or_else(|| ServiceError::Protocol("missing field strategy=".into()))?,
-                    workers: field(&m, "workers")?,
-                    datasets: field(&m, "datasets")?,
-                    cache_entries: field(&m, "cache_entries")?,
-                    warmstart: flag_or(&m, "warmstart", true)?,
-                    uptime_secs: field_or(&m, "uptime_secs", 0)?,
-                    total_queries: field_or(&m, "total_queries", 0)?,
-                })
-            }
-            Some(("batch", v)) => {
-                let n = parse_num("batch", v)?;
-                let mut stream = false;
-                for (key, v) in parse_kv(&tokens[1..])? {
-                    match key.as_str() {
-                        "stream" => stream = parse_bool("stream", &v)?,
-                        other => {
-                            return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-                        }
-                    }
-                }
-                Ok(Response::BatchHeader { n, stream })
-            }
-            Some(("seq", v)) => decode_answer_tokens(Some(parse_num("seq", v)?), &tokens[1..]),
-            Some(("alg", _)) => decode_answer_tokens(None, &tokens),
-            _ => Err(ServiceError::Protocol(format!(
-                "unrecognized response line {line:?}"
-            ))),
-        },
-    }
+    let (tag, mut source) = TextSource::parse(line)?;
+    let resp = take_response(tag, &mut source)?;
+    source.finish()?;
+    Ok(resp)
 }
 
 /// Decodes a query response line produced by [`format_response`] (an
@@ -1345,11 +1660,19 @@ mod tests {
     #[test]
     fn err_lines_decode_to_protocol_errors() {
         let e = ServiceError::UnknownDataset { name: "x".into() };
-        let line = format_error(&e);
+        let line = encode_response_line(&Response::error(&e)).unwrap();
         assert!(line.starts_with("ERR "));
         assert!(matches!(
             parse_response(&line),
             Err(ServiceError::Protocol(m)) if m.contains("unknown dataset")
+        ));
+        // A newline in the message must not split the frame.
+        let e = ServiceError::Protocol("bad\nline\r".into());
+        let line = encode_response_line(&Response::error(&e)).unwrap();
+        assert!(!line.contains(['\n', '\r']), "{line:?}");
+        assert!(matches!(
+            parse_response(&line),
+            Err(ServiceError::Protocol(m)) if m.ends_with("bad line ")
         ));
     }
 
@@ -1510,6 +1833,114 @@ mod tests {
                 ..
             } => assert_eq!((sky_changed, cache_dropped, warm_dropped), (false, 0, 0)),
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Decodes `resp` with its last `cut` fields removed, through each
+    /// codec. Every appended-tier field used below is one text token and
+    /// one binary byte (values under 128), so a cut counts fields.
+    fn decode_cut(resp: &Response, cut: usize) -> [Result<Response, ServiceError>; 2] {
+        use crate::codec::Codec;
+        let line = encode_response_line(resp).unwrap();
+        let tokens: Vec<&str> = line.split(' ').collect();
+        let mut frame = Vec::new();
+        crate::codec::BinaryCodec
+            .encode_frame(resp, &mut frame)
+            .unwrap();
+        let payload = &frame[4..frame.len() - cut];
+        [
+            decode_response_line(&tokens[..tokens.len() - cut].join(" ")),
+            crate::codec::decode_binary_payload(payload),
+        ]
+    }
+
+    #[test]
+    fn appended_tiers_decode_alike_on_both_codecs() {
+        let stats =
+            |warm: (u64, u64, usize), up: (u64, u64), adm: (u64, u64, u64), muts| Response::Stats {
+                hits: 2,
+                misses: 1,
+                entries: 1,
+                evictions: 0,
+                hit_rate: 0.5,
+                warm_hits: warm.0,
+                warm_misses: warm.1,
+                warm_entries: warm.2,
+                uptime_secs: up.0,
+                total_queries: up.1,
+                queue_depth: adm.0,
+                shed_total: adm.1,
+                conns_open: adm.2,
+                mutations_total: muts,
+            };
+        let info = |warmstart, uptime_secs, total_queries| Response::Info {
+            shards: 4,
+            strategy: "stratified".into(),
+            workers: 2,
+            datasets: 1,
+            cache_entries: 0,
+            warmstart,
+            uptime_secs,
+            total_queries,
+        };
+        let mutated = |sky_changed, cache_dropped, warm_dropped| Response::Mutated {
+            name: "t".into(),
+            op: "delete".into(),
+            rows: 9,
+            skyline: 4,
+            sky_changed,
+            cache_dropped,
+            warm_dropped,
+        };
+        // (full response, [(fields cut at a tier boundary, decoded)],
+        //  fields cut inside a tier)
+        let cases = [
+            (
+                stats((5, 3, 2), (60, 9), (4, 2, 1), 7),
+                vec![
+                    (1, stats((5, 3, 2), (60, 9), (4, 2, 1), 0)),
+                    (4, stats((5, 3, 2), (60, 9), (0, 0, 0), 0)),
+                    (6, stats((5, 3, 2), (0, 0), (0, 0, 0), 0)),
+                    (9, stats((0, 0, 0), (0, 0), (0, 0, 0), 0)),
+                ],
+                vec![2, 3, 5, 7, 8],
+            ),
+            (
+                info(false, 12, 3),
+                vec![(2, info(false, 0, 0)), (3, info(true, 0, 0))],
+                vec![1],
+            ),
+            (
+                mutated(true, 3, 1),
+                vec![(3, mutated(false, 0, 0))],
+                vec![1, 2],
+            ),
+        ];
+        for (full, boundaries, inside) in cases {
+            let [text, binary] = decode_cut(&full, 0);
+            assert_eq!(text.unwrap(), full);
+            assert_eq!(binary.unwrap(), full);
+            for (cut, want) in boundaries {
+                let [text, binary] = decode_cut(&full, cut);
+                assert_eq!(text.unwrap(), want, "text cut {cut} of {full:?}");
+                assert_eq!(binary.unwrap(), want, "binary cut {cut} of {full:?}");
+            }
+            for cut in inside {
+                let [text, binary] = decode_cut(&full, cut);
+                assert!(text.is_err(), "text cut {cut} inside a tier of {full:?}");
+                assert!(
+                    binary.is_err(),
+                    "binary cut {cut} inside a tier of {full:?}"
+                );
+            }
+        }
+        // A text line naming a key its variant does not define is rejected.
+        for line in [
+            "OK alg=x cached=false micros=1 err=0 mhr=none indices= zz=1",
+            "OK batch=3 zz=1",
+            "OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5 zz=1",
+        ] {
+            assert!(decode_response_line(line).is_err(), "{line:?}");
         }
     }
 

@@ -499,8 +499,8 @@ fn pipelined_hello_recodes_only_later_requests_event() {
     )
     .unwrap();
     let mut r = BufReader::new(s.try_clone().unwrap());
-    let text = CodecKind::Text.new_codec();
-    let binary = CodecKind::Binary.new_codec();
+    let text = CodecKind::Text.codec();
+    let binary = CodecKind::Binary.codec();
 
     // Frame 1: the pre-switch query, in text.
     let first = match text.read_frame(&mut r).unwrap() {

@@ -30,26 +30,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo build --release"
 cargo build --release
 
+# The workspace run covers the default configuration: single-shard
+# catalog, text codec, warm-start on, telemetry on. Each pass below
+# re-runs the service suite with one of those flipped, so every pass
+# runs a configuration no other pass does.
 echo "==> cargo test -q"
 cargo test -q
 
-# The service suite runs twice more, pinned to each preparation
-# pipeline: every engine/cache/server test must pass over the classic
-# single-shard catalog AND the sharded (4-way) one — answers are
-# contractually bit-identical (see docs/ARCHITECTURE.md, "Sharded
-# preparation & merge").
-# The service suite runs once per wire codec too: FAIRHMS_TEST_CODEC
-# routes every TCP test's client through the v1 text lines or the v2
-# binary framing (WireClient::connect_env) — answers are contractually
-# bit-identical (see docs/PROTOCOL.md, "Protocol v2"). The text pass is
-# folded into the unsharded run (explicit text == the default), so no
-# configuration is executed twice.
-echo "==> service tests, unsharded catalog + text codec (FAIRHMS_TEST_SHARDS=1 FAIRHMS_TEST_CODEC=text)"
-FAIRHMS_TEST_SHARDS=1 FAIRHMS_TEST_CODEC=text cargo test -p fairhms-service -q
-
+# Sharded preparation: every engine/cache/server test must pass over the
+# sharded (4-way) catalog too — answers are contractually bit-identical
+# (see docs/ARCHITECTURE.md, "Sharded preparation & merge").
 echo "==> service tests, sharded catalog (FAIRHMS_TEST_SHARDS=4)"
 FAIRHMS_TEST_SHARDS=4 cargo test -p fairhms-service -q
 
+# Binary codec: FAIRHMS_TEST_CODEC routes every TCP test's client through
+# the v2 binary framing (WireClient::connect_env) — answers are
+# contractually bit-identical to the text lines (see docs/PROTOCOL.md,
+# "Protocol v2"). This includes the overload and mutation-churn suites.
 echo "==> service tests, binary codec (FAIRHMS_TEST_CODEC=binary)"
 FAIRHMS_TEST_CODEC=binary cargo test -p fairhms-service -q
 
@@ -65,22 +62,6 @@ FAIRHMS_TEST_WARMSTART=0 cargo test -p fairhms-service -q
 # telemetry on or off (see crates/service/tests/telemetry_equivalence.rs).
 echo "==> service tests, telemetry disabled (FAIRHMS_TEST_TELEMETRY=0)"
 FAIRHMS_TEST_TELEMETRY=0 cargo test -p fairhms-service -q
-
-# Overload smoke: the admission-control contract (bounded-queue sheds
-# with retry advice, inline cache hits, exact gauges, 500-connection idle
-# fan-out) and the fault-injection matrix.
-echo "==> overload + fault-injection smoke (crates/service/tests/overload.rs)"
-cargo test -p fairhms-service --test overload -q
-
-# Mutation-churn smoke: mixed APPEND/DELETE/QUERY workloads (random
-# interleavings vs. a from-scratch re-prep oracle, delta invalidation,
-# pipelined mutate→query ordering) over both codecs, since the MUTATED
-# frame differs per codec.
-echo "==> mutation churn smoke (crates/service/tests/mutation.rs, both codecs)"
-for codec in text binary; do
-  echo "    -- FAIRHMS_TEST_CODEC=$codec"
-  FAIRHMS_TEST_CODEC=$codec cargo test -p fairhms-service --test mutation -q
-done
 
 echo "==> bench smoke (service engine + shard prep + wire codecs + warm-start, tiny sizes)"
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench service
