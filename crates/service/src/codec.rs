@@ -420,171 +420,7 @@ impl Codec for BinaryCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{tag, WireAnswer};
-
-    fn sample_responses() -> Vec<Response> {
-        vec![
-            Response::Pong,
-            Response::Bye,
-            Response::Hello {
-                version: 2,
-                codec: CodecKind::Binary,
-            },
-            Response::Datasets(vec!["a:1:2:3:4".into(), "b:5:6:7:8".into()]),
-            Response::Datasets(vec![]),
-            Response::Algorithms(vec!["intcov".into(), "bigreedy".into()]),
-            Response::Stats {
-                hits: 2,
-                misses: 1,
-                entries: 1,
-                evictions: 0,
-                hit_rate: 2.0 / 3.0,
-                warm_hits: 5,
-                warm_misses: 3,
-                warm_entries: 2,
-                uptime_secs: 3600,
-                total_queries: 42,
-                queue_depth: 6,
-                shed_total: 11,
-                conns_open: 3,
-                mutations_total: 4,
-            },
-            Response::Info {
-                shards: 4,
-                strategy: "stratified".into(),
-                workers: 8,
-                datasets: 2,
-                cache_entries: 17,
-                warmstart: false,
-                uptime_secs: 12,
-                total_queries: 9,
-            },
-            Response::Metrics {
-                enabled: true,
-                counters: vec![("conn.active".into(), 3), ("queries.total".into(), 128)],
-                histograms: vec![
-                    crate::protocol::WireHistogram {
-                        name: "engine.cache_lookup".into(),
-                        count: 128,
-                        sum: 51_200,
-                        p50: 300,
-                        p90: 700,
-                        p99: 1_500,
-                        max: 2_000,
-                    },
-                    crate::protocol::WireHistogram {
-                        name: "server.read".into(),
-                        count: 1,
-                        sum: 9,
-                        p50: 9,
-                        p90: 9,
-                        p99: 9,
-                        max: 9,
-                    },
-                ],
-            },
-            Response::Metrics {
-                enabled: false,
-                counters: vec![],
-                histograms: vec![],
-            },
-            Response::Shards(64),
-            Response::Answer {
-                seq: Some(3),
-                answer: WireAnswer {
-                    alg: "BiGreedy".into(),
-                    cached: true,
-                    micros: 812,
-                    violations: 0,
-                    mhr: Some(0.1 + 0.2),
-                    indices: vec![0, 3, 17, 40, 100_000],
-                },
-            },
-            Response::Answer {
-                seq: None,
-                answer: WireAnswer {
-                    alg: "Greedy".into(),
-                    cached: false,
-                    micros: 0,
-                    violations: 2,
-                    mhr: None,
-                    indices: vec![],
-                },
-            },
-            Response::BatchHeader { n: 7, stream: true },
-            Response::BatchHeader {
-                n: 100_000,
-                stream: false,
-            },
-            Response::Loaded {
-                name: "extra".into(),
-                rows: 2000,
-                dim: 3,
-                groups: 3,
-                skyline: 940,
-            },
-            Response::Mutated {
-                name: "extra".into(),
-                op: "append".into(),
-                rows: 2001,
-                skyline: 941,
-                sky_changed: true,
-                cache_dropped: 3,
-                warm_dropped: 1,
-            },
-            Response::Mutated {
-                name: "toy".into(),
-                op: "delete".into(),
-                rows: 7,
-                skyline: 4,
-                sky_changed: false,
-                cache_dropped: 0,
-                warm_dropped: 0,
-            },
-            Response::Error {
-                seq: Some(2),
-                message: "solver error: k must be positive".into(),
-            },
-            Response::Error {
-                seq: None,
-                message: "unknown verb \"FROB\"".into(),
-            },
-            Response::Busy {
-                seq: None,
-                retry_after_ms: 24,
-                message: "solve queue full (depth 256)".into(),
-            },
-            Response::Busy {
-                seq: Some(5),
-                retry_after_ms: 1,
-                message: "queue deadline exceeded".into(),
-            },
-        ]
-    }
-
-    #[test]
-    fn binary_round_trips_every_variant() {
-        for resp in sample_responses() {
-            let mut frame = Vec::new();
-            BinaryCodec.encode_frame(&resp, &mut frame).unwrap();
-            let mut reader = std::io::Cursor::new(frame);
-            let back = BinaryCodec.read_frame(&mut reader).unwrap().unwrap();
-            assert_eq!(back, resp);
-            assert!(BinaryCodec.read_frame(&mut reader).unwrap().is_none());
-        }
-    }
-
-    #[test]
-    fn text_round_trips_every_variant() {
-        for resp in sample_responses() {
-            let mut frame = Vec::new();
-            TextCodec.encode_frame(&resp, &mut frame).unwrap();
-            let mut reader = std::io::Cursor::new(frame);
-            let back = TextCodec.read_frame(&mut reader).unwrap().unwrap();
-            assert_eq!(back, resp);
-            assert!(TextCodec.read_frame(&mut reader).unwrap().is_none());
-        }
-    }
+    use crate::protocol::tag;
 
     #[test]
     fn varint_round_trips_at_width_boundaries() {

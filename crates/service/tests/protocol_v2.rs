@@ -16,7 +16,7 @@ use rand::SeedableRng;
 
 use fairhms_core::registry::ALGORITHM_NAMES;
 use fairhms_data::{gen, Dataset};
-use fairhms_service::codec::{BinaryCodec, Codec, CodecKind, TextCodec};
+use fairhms_service::codec::{BinaryCodec, Codec, CodecKind};
 use fairhms_service::protocol::{
     decode_response_line, encode_response_line, parse_response, Response, WireAnswer,
 };
@@ -325,94 +325,6 @@ proptest! {
         BinaryCodec.encode_frame(&resp, &mut frame).unwrap();
         let mut cursor = std::io::Cursor::new(frame);
         prop_assert_eq!(&BinaryCodec.read_frame(&mut cursor).unwrap().unwrap(), &resp);
-    }
-}
-
-/// Non-answer variants equivalently cross both codecs (TextCodec is the
-/// v1 renderer, so this also pins the v1 lines).
-#[test]
-fn all_response_variants_agree_across_codecs() {
-    let variants = vec![
-        Response::Pong,
-        Response::Bye,
-        Response::Hello {
-            version: 2,
-            codec: CodecKind::Binary,
-        },
-        Response::Datasets(vec!["demo:120:2:3:21".into()]),
-        Response::Algorithms(ALGORITHM_NAMES.iter().map(|s| s.to_string()).collect()),
-        Response::Stats {
-            hits: 2,
-            misses: 1,
-            entries: 1,
-            evictions: 0,
-            hit_rate: 2.0 / 3.0,
-            warm_hits: 4,
-            warm_misses: 2,
-            warm_entries: 1,
-            uptime_secs: 77,
-            total_queries: 31,
-            queue_depth: 3,
-            shed_total: 9,
-            conns_open: 2,
-            mutations_total: 6,
-        },
-        Response::Info {
-            shards: 4,
-            strategy: "stratified".into(),
-            workers: 4,
-            datasets: 1,
-            cache_entries: 0,
-            warmstart: true,
-            uptime_secs: 5,
-            total_queries: 2,
-        },
-        Response::Metrics {
-            enabled: true,
-            counters: vec![("queries.total".into(), 31), ("conn.active".into(), 1)],
-            histograms: vec![fairhms_service::protocol::WireHistogram {
-                name: "engine.cache_lookup".into(),
-                count: 31,
-                sum: 12_400,
-                p50: 330,
-                p90: 610,
-                p99: 900,
-                max: 1_024,
-            }],
-        },
-        Response::Shards(8),
-        Response::BatchHeader {
-            n: 14,
-            stream: true,
-        },
-        Response::Loaded {
-            name: "extra".into(),
-            rows: 2000,
-            dim: 3,
-            groups: 3,
-            skyline: 940,
-        },
-        Response::Mutated {
-            name: "extra".into(),
-            op: "append".into(),
-            rows: 2001,
-            skyline: 941,
-            sky_changed: true,
-            cache_dropped: 2,
-            warm_dropped: 1,
-        },
-    ];
-    for resp in variants {
-        let mut text_frame = Vec::new();
-        TextCodec.encode_frame(&resp, &mut text_frame).unwrap();
-        let mut binary_frame = Vec::new();
-        BinaryCodec.encode_frame(&resp, &mut binary_frame).unwrap();
-        let mut tc = std::io::Cursor::new(text_frame);
-        let mut bc = std::io::Cursor::new(binary_frame);
-        let t = TextCodec.read_frame(&mut tc).unwrap().unwrap();
-        let b = BinaryCodec.read_frame(&mut bc).unwrap().unwrap();
-        assert_eq!(t, resp);
-        assert_eq!(b, resp);
     }
 }
 

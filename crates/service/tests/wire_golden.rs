@@ -331,10 +331,10 @@ fn text_frames_match_golden_bytes() {
             text,
             "encode of {resp:?}"
         );
-        let decoded = TextCodec
-            .read_frame(&mut std::io::Cursor::new(text.as_bytes()))
-            .unwrap();
+        let mut reader = std::io::Cursor::new(text.as_bytes());
+        let decoded = TextCodec.read_frame(&mut reader).unwrap();
         assert_eq!(decoded, Some(resp), "decode of {text:?}");
+        assert_eq!(TextCodec.read_frame(&mut reader).unwrap(), None);
     }
 }
 
@@ -344,9 +344,9 @@ fn binary_frames_match_golden_bytes() {
         let mut frame = Vec::new();
         BinaryCodec.encode_frame(&resp, &mut frame).unwrap();
         assert_eq!(hex(&frame), golden_hex, "encode of {resp:?}");
-        let decoded = BinaryCodec
-            .read_frame(&mut std::io::Cursor::new(unhex(golden_hex)))
-            .unwrap();
+        let mut reader = std::io::Cursor::new(unhex(golden_hex));
+        let decoded = BinaryCodec.read_frame(&mut reader).unwrap();
         assert_eq!(decoded, Some(resp), "decode of {golden_hex}");
+        assert_eq!(BinaryCodec.read_frame(&mut reader).unwrap(), None);
     }
 }
