@@ -684,7 +684,8 @@ pub(crate) trait Sink: Sized {
         self.list(key, v, |s, name| s.str(key, name))
     }
 
-    /// Free text ending the frame (an error message).
+    /// Free text ending the frame (an error message); read back by
+    /// [`Source::str`].
     fn tail(&mut self, key: &'static str, v: &str) -> Result<(), ServiceError> {
         self.str(key, v)
     }
@@ -724,10 +725,6 @@ pub(crate) trait Source: Sized {
 
     fn strs(&mut self, key: &'static str) -> Result<Vec<String>, ServiceError> {
         self.list(key, |s| s.str(key))
-    }
-
-    fn tail(&mut self, key: &'static str) -> Result<String, ServiceError> {
-        self.str(key)
     }
 }
 
@@ -1042,11 +1039,11 @@ pub(crate) fn take_response<S: Source>(tag: u8, s: &mut S) -> Result<Response, S
         tag::BUSY => Response::Busy {
             seq: s.opt_u64("seq")?,
             retry_after_ms: s.u64("retry_after_ms")?,
-            message: s.tail("message")?,
+            message: s.str("message")?,
         },
         tag::ERROR => Response::Error {
             seq: s.opt_u64("seq")?,
-            message: s.tail("message")?,
+            message: s.str("message")?,
         },
         t => {
             return Err(ServiceError::Protocol(format!(
