@@ -136,6 +136,22 @@ fn actual_lines() -> Vec<String> {
             ));
         }
     }
+    // A large full-form instance: thousands of candidate rows per probe,
+    // so every gain sweep is hundreds of thousands of terms.
+    let ds = anti_correlated_dataset(3_000, 3, 3, &mut StdRng::seed_from_u64(30));
+    let inst = proportional(ds, 4);
+    for use_lazy in [true, false] {
+        let cfg = BiGreedyConfig {
+            use_lazy,
+            seed: 13,
+            ..BiGreedyConfig::paper_default(4, 3)
+        };
+        out.push(run(
+            &format!("large n=3000 d=3 k=4 lazy={use_lazy}"),
+            &inst,
+            &cfg,
+        ));
+    }
     // BiGreedy+: adaptive net doubling over the same solver.
     for (d, c, k) in [(3, 3, 4), (4, 3, 8), (5, 1, 10)] {
         let inst = proportional(anticor(d, c, 90 + d as u64), k);
@@ -194,6 +210,8 @@ const GOLDEN: &[&str] = &[
     "cap1 d=4 k=8 Linear idx=[13, 45, 50, 88, 107, 113, 144, 148] mhr=3fedb67ce1a10972 tau=3fedd37ab55fda2f",
     "cap1 d=5 k=10 Binary idx=[3, 13, 14, 21, 40, 65, 71, 97, 126, 153] mhr=3fec56f09b1f5d33 tau=3fec5d43ce7613e8",
     "cap1 d=5 k=10 Linear idx=[13, 14, 42, 65, 74, 101, 114, 115, 133, 153] mhr=3fec951528b29b7c tau=3fec5d43ce7613e8",
+    "large n=3000 d=3 k=4 lazy=true idx=[215, 1621, 2539, 2862] mhr=3fea9b1e9dcbc280 tau=3feab456342faea9",
+    "large n=3000 d=3 k=4 lazy=false idx=[215, 1621, 2539, 2862] mhr=3fea9b1e9dcbc280 tau=3feab456342faea9",
     "plus d=3 c=3 k=4 idx=[36, 73, 77, 113] mhr=3fea1265e8d196ef",
     "plus d=4 c=3 k=8 idx=[6, 12, 22, 54, 55, 80, 83, 116] mhr=3feb08ab4c9ec0e2",
     "plus d=5 c=1 k=10 idx=[13, 16, 18, 48, 59, 76, 98, 100, 132, 150] mhr=3fee4e1bfa6a2e47",
