@@ -12,7 +12,13 @@
 //! `τ` is loaded once and its term added to four independent sums. Every
 //! sum keeps the per-item order (ascending utility index), and a utility
 //! already at `τ` contributes exactly `+0.0`, so skipping it leaves the
-//! sums bit-identical to [`IncrementalObjective::gain`].
+//! sums bit-identical to [`IncrementalObjective::gain`]. A sweep of at
+//! least `SPLIT_FLOOR` terms is cut into one contiguous part per core;
+//! each item's sum is computed whole by one thread, so the cut changes
+//! no bit either.
+
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 use fairhms_data::Dataset;
 use fairhms_geometry::vecmath::dot;
@@ -137,6 +143,115 @@ impl<'a> TruncatedMhrObjective<'a> {
     }
 }
 
+/// The gains of `items` at `state` under cap `tau`, read from the
+/// row-major score cache `scores`, on a machine with `cores` cores: a
+/// sweep of at least [`SPLIT_FLOOR`] terms is cut into `cores` contiguous
+/// parts, each run on a thread of its own.
+fn cached_gains(
+    scores: &[f64],
+    state: &[f64],
+    tau: f64,
+    items: &[usize],
+    out: &mut [f64],
+    cores: usize,
+) {
+    debug_assert_eq!(items.len(), out.len());
+    // Utilities with headroom, ascending; the rest add +0.0 to every sum.
+    let open: Vec<(usize, f64)> = state
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|&(_, cur)| cur < tau)
+        .collect();
+    let sweep = Sweep {
+        scores,
+        m: state.len(),
+        open: &open,
+        tau,
+    };
+    let parts = if items.len().saturating_mul(open.len()) >= SPLIT_FLOOR {
+        cores.clamp(1, items.len())
+    } else {
+        1
+    };
+    if parts == 1 {
+        sweep.run(items, out);
+        return;
+    }
+    let len = items.len().div_ceil(parts);
+    std::thread::scope(|scope| {
+        let mut parts = items.chunks(len).zip(out.chunks_mut(len));
+        let (first_items, first_out) = parts.next().expect("a split sweep has items");
+        for (items, out) in parts {
+            scope.spawn(move || sweep.run(items, out));
+        }
+        sweep.run(first_items, first_out);
+    });
+}
+
+/// Smallest cached sweep, in `items × open utilities` terms, that
+/// [`IncrementalObjective::gains`] splits across cores. At about 1.5 ns
+/// a term (the sweep streams score rows from memory) this is 200 µs of
+/// work on one core, against some 20–40 µs to start and join a thread.
+const SPLIT_FLOOR: usize = 1 << 17;
+
+/// The machine's core count, read once: `available_parallelism` reads
+/// cgroup files on Linux at every call.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// One cached gain sweep's shared, read-only inputs.
+///
+/// [`Sweep::run`] allocates nothing, so the threads running it never
+/// touch the allocator: glibc would otherwise give each one a malloc
+/// arena of its own that stays mapped for the life of the process.
+#[derive(Clone, Copy)]
+struct Sweep<'s> {
+    scores: &'s [f64],
+    m: usize,
+    open: &'s [(usize, f64)],
+    tau: f64,
+}
+
+impl Sweep<'_> {
+    /// Writes the gain of every `items[i]` to `out[i]`, four candidates
+    /// to a lane. Each sum runs over `open` in ascending order from
+    /// `0.0`, so it is the same however `items` is batched or cut.
+    fn run(self, items: &[usize], out: &mut [f64]) {
+        let Sweep {
+            scores,
+            m,
+            open,
+            tau,
+        } = self;
+        let denom = m.max(1) as f64;
+        let row = |item: usize| &scores[item * m..][..m];
+        let mut lanes = items.chunks_exact(LANES);
+        let mut outs = out.chunks_exact_mut(LANES);
+        for (quad, g) in (&mut lanes).zip(&mut outs) {
+            let rows = [row(quad[0]), row(quad[1]), row(quad[2]), row(quad[3])];
+            let mut acc = [0.0; LANES];
+            for &(u, cur) in open {
+                for (a, r) in acc.iter_mut().zip(&rows) {
+                    *a += headroom(r[u], cur, tau);
+                }
+            }
+            for (g, a) in g.iter_mut().zip(acc) {
+                *g = a / denom;
+            }
+        }
+        for (g, &item) in outs.into_remainder().iter_mut().zip(lanes.remainder()) {
+            let r = row(item);
+            *g = open
+                .iter()
+                .fold(0.0, |a, &(u, cur)| a + headroom(r[u], cur, tau))
+                / denom;
+        }
+    }
+}
+
 /// One utility's term of the marginal gain: `max(0, min(s, τ) − cur)`.
 ///
 /// Written as selects so each compiles to a single `minsd`/`maxsd`, and
@@ -211,38 +326,7 @@ impl IncrementalObjective for TruncatedMhrObjective<'_> {
             }
             return;
         };
-        let tau = self.tau;
-        let m = state.len();
-        let denom = m.max(1) as f64;
-        // Utilities with headroom, ascending; the rest add +0.0 to every sum.
-        let open: Vec<(usize, f64)> = state
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, cur)| cur < tau)
-            .collect();
-        let row = |item: usize| &scores[item * m..][..m];
-        let mut lanes = items.chunks_exact(LANES);
-        let mut outs = out.chunks_exact_mut(LANES);
-        for (quad, g) in (&mut lanes).zip(&mut outs) {
-            let rows = [row(quad[0]), row(quad[1]), row(quad[2]), row(quad[3])];
-            let mut acc = [0.0; LANES];
-            for &(u, cur) in &open {
-                for (a, r) in acc.iter_mut().zip(&rows) {
-                    *a += headroom(r[u], cur, tau);
-                }
-            }
-            for (g, a) in g.iter_mut().zip(acc) {
-                *g = a / denom;
-            }
-        }
-        for (g, &item) in outs.into_remainder().iter_mut().zip(lanes.remainder()) {
-            let r = row(item);
-            *g = open
-                .iter()
-                .fold(0.0, |a, &(u, cur)| a + headroom(r[u], cur, tau))
-                / denom;
-        }
+        cached_gains(scores, state, self.tau, items, out, cores());
     }
 
     fn add(&self, state: &mut Vec<f64>, item: usize) {
@@ -358,6 +442,55 @@ mod tests {
                 assert!((capped - tau).abs() < 1e-12, "τ={tau}: capped={capped}");
             } else {
                 assert!(capped < tau - 1e-15, "τ={tau}: capped={capped} mhr={mhr}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_sweeps_equal_per_item_gain_bitwise() {
+        // 40 rows under m = 64 utilities: a batch of SPLIT_FLOOR / 64
+        // items from an empty state sits exactly at the work floor.
+        let d = 3;
+        let mut x = 7u64;
+        let mut unit = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let points: Vec<f64> = (0..40 * d).map(|_| unit()).collect();
+        let ds = Dataset::ungrouped("split", d, points).unwrap();
+        let net: Vec<Vec<f64>> = (0..64).map(|_| (0..d).map(|_| unit()).collect()).collect();
+        let db_max: Vec<f64> = net
+            .iter()
+            .map(|u| {
+                (0..ds.len())
+                    .map(|i| dot(ds.point(i), u))
+                    .fold(0.0_f64, f64::max)
+            })
+            .collect();
+        let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.9, true);
+        let scores = obj.scores.as_deref().unwrap();
+        let at_floor = SPLIT_FLOOR / net.len();
+        // Parts of 2049 and 4099 items cut 2, 3 or 7 ways are 1025/683/293
+        // and 2050/1367/586 long: every part ends on a lane remainder.
+        // The empty state has all 64 utilities open; the other has some at
+        // τ, so only the longer batches reach the floor.
+        for state in [obj.empty_state(), obj.state_of(&[3, 17])] {
+            let open = state.iter().filter(|&&cur| cur < obj.tau()).count();
+            let lens = [0, 1, 5, at_floor - 1, at_floor, at_floor + 1, 2049, 4099];
+            assert!(lens.iter().any(|&len| len * open < SPLIT_FLOOR));
+            assert!(lens.iter().any(|&len| len * open >= SPLIT_FLOOR));
+            for len in lens {
+                let items: Vec<usize> = (0..len).map(|i| (i * 13 + i / 40) % ds.len()).collect();
+                let want: Vec<u64> = items
+                    .iter()
+                    .map(|&i| obj.gain(&state, i).to_bits())
+                    .collect();
+                for cores in [1, 2, 3, 7] {
+                    let mut out = vec![f64::NAN; len];
+                    cached_gains(scores, &state, obj.tau(), &items, &mut out, cores);
+                    let got: Vec<u64> = out.iter().map(|g| g.to_bits()).collect();
+                    assert_eq!(got, want, "len {len}, {open} open, {cores} cores");
+                }
             }
         }
     }
