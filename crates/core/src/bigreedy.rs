@@ -303,6 +303,8 @@ pub fn bigreedy_on_net_with_db_max(
         BiGreedyMode::Bicriteria => ((2.0 * m as f64 / epsilon).log2().ceil() as usize).max(1),
     };
 
+    // MRGreedy's target is mhr_τ(S|N) ≥ (1 − ε/2m)·τ.
+    let target_ratio = 1.0 - epsilon / (2.0 * m as f64);
     let mut objective = TruncatedMhrObjective::new(data, net, db_max, 1.0, true);
     let candidates: Vec<usize> = (0..data.len()).collect();
 
@@ -333,7 +335,7 @@ pub fn bigreedy_on_net_with_db_max(
             &candidates,
             tau,
             gamma,
-            epsilon,
+            target_ratio,
             config.use_lazy,
         );
         if !union.is_empty() {
@@ -419,7 +421,8 @@ pub fn bigreedy_on_net_with_db_max(
 
 /// `MRGreedy` (Algorithm 3, lines 10–22): up to `gamma` greedy rounds on
 /// disjoint candidate pools. Returns the union (possibly partial) and
-/// whether it met the target `mhr_τ(S|N) ≥ (1 − ε/2m)·τ`.
+/// whether it met the target `mhr_τ(S|N) ≥ target_ratio·τ`, where
+/// `target_ratio = 1 − ε/2m`.
 #[allow(clippy::too_many_arguments)]
 fn mr_greedy(
     inst: &FairHmsInstance,
@@ -427,18 +430,17 @@ fn mr_greedy(
     candidates: &[usize],
     tau: f64,
     gamma: usize,
-    epsilon: f64,
+    target_ratio: f64,
     use_lazy: bool,
 ) -> (Vec<usize>, bool) {
     objective.set_tau(tau);
-    let m = objective.state_of(&[]).len().max(1);
-    let target = (1.0 - epsilon / (2.0 * m as f64)) * tau;
+    let target = target_ratio * tau;
 
     let mut union: Vec<usize> = Vec::new();
     let mut union_state = objective.empty_state();
     let mut pool: Vec<usize> = candidates.to_vec();
     let mut last_value = f64::NEG_INFINITY;
-    for _round in 0..gamma {
+    for round_idx in 0..gamma {
         if pool.is_empty() {
             break;
         }
@@ -454,7 +456,9 @@ fn mr_greedy(
             objective.add(&mut union_state, i);
         }
         union.extend_from_slice(&round.items);
-        pool.retain(|i| !round.items.contains(i));
+        if round_idx + 1 < gamma {
+            pool.retain(|i| !round.items.contains(i));
+        }
 
         let value = objective.value(&union_state);
         if value >= target - 1e-12 {
