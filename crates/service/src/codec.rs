@@ -529,175 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_warmstart_binary_frames_still_decode() {
-        // Frames from a peer built before the warm-start fields were
-        // appended end right after the original payload; the decoder
-        // must default the new fields (0 counters / tier-on), mirroring
-        // the text decoder — not error on a truncated read.
-        let mut payload = vec![tag::STATS];
-        put_varint(&mut payload, 2); // hits
-        put_varint(&mut payload, 1); // misses
-        put_varint(&mut payload, 1); // entries
-        put_varint(&mut payload, 0); // evictions
-        payload.extend_from_slice(&(2.0f64 / 3.0).to_bits().to_le_bytes());
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Stats {
-                hits,
-                warm_hits,
-                warm_misses,
-                warm_entries,
-                ..
-            } => assert_eq!((hits, warm_hits, warm_misses, warm_entries), (2, 0, 0, 0)),
-            other => panic!("{other:?}"),
-        }
-
-        let mut payload = vec![tag::INFO];
-        put_varint(&mut payload, 4); // shards
-        put_str(&mut payload, "stratified");
-        put_varint(&mut payload, 2); // workers
-        put_varint(&mut payload, 1); // datasets
-        put_varint(&mut payload, 0); // cache_entries
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Info { warmstart, .. } => assert!(warmstart),
-            other => panic!("{other:?}"),
-        }
-
-        // A *partially* appended tail is still corruption, not tolerance.
-        let mut bad = vec![tag::STATS];
-        for _ in 0..4 {
-            put_varint(&mut bad, 1);
-        }
-        bad.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
-        put_varint(&mut bad, 7); // warm_hits present but the rest missing
-        assert!(decode_binary_payload(&bad).is_err());
-    }
-
-    #[test]
-    fn pre_telemetry_binary_frames_still_decode() {
-        // Peers from the warm-start era emit the warm_* tier but end
-        // before uptime/total_queries; both default to 0.
-        let mut payload = vec![tag::STATS];
-        put_varint(&mut payload, 2); // hits
-        put_varint(&mut payload, 1); // misses
-        put_varint(&mut payload, 1); // entries
-        put_varint(&mut payload, 0); // evictions
-        payload.extend_from_slice(&(2.0f64 / 3.0).to_bits().to_le_bytes());
-        put_varint(&mut payload, 7); // warm_hits
-        put_varint(&mut payload, 3); // warm_misses
-        put_varint(&mut payload, 2); // warm_entries
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Stats {
-                warm_hits,
-                uptime_secs,
-                total_queries,
-                ..
-            } => assert_eq!((warm_hits, uptime_secs, total_queries), (7, 0, 0)),
-            other => panic!("{other:?}"),
-        }
-
-        let mut payload = vec![tag::INFO];
-        put_varint(&mut payload, 4); // shards
-        put_str(&mut payload, "stratified");
-        put_varint(&mut payload, 2); // workers
-        put_varint(&mut payload, 1); // datasets
-        put_varint(&mut payload, 0); // cache_entries
-        payload.push(0); // warmstart off
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Info {
-                warmstart,
-                uptime_secs,
-                total_queries,
-                ..
-            } => assert_eq!((warmstart, uptime_secs, total_queries), (false, 0, 0)),
-            other => panic!("{other:?}"),
-        }
-
-        // Half the telemetry tier is corruption, same as the warm tier.
-        let mut bad = vec![tag::INFO];
-        put_varint(&mut bad, 4);
-        put_str(&mut bad, "stratified");
-        put_varint(&mut bad, 2);
-        put_varint(&mut bad, 1);
-        put_varint(&mut bad, 0);
-        bad.push(1);
-        put_varint(&mut bad, 100); // uptime_secs present, total_queries missing
-        assert!(decode_binary_payload(&bad).is_err());
-    }
-
-    #[test]
-    fn pre_admission_binary_frames_still_decode() {
-        // Peers from the telemetry era emit the uptime/total tier but
-        // end before the admission gauges; all three default to 0.
-        let mut payload = vec![tag::STATS];
-        put_varint(&mut payload, 2); // hits
-        put_varint(&mut payload, 1); // misses
-        put_varint(&mut payload, 1); // entries
-        put_varint(&mut payload, 0); // evictions
-        payload.extend_from_slice(&(2.0f64 / 3.0).to_bits().to_le_bytes());
-        put_varint(&mut payload, 7); // warm_hits
-        put_varint(&mut payload, 3); // warm_misses
-        put_varint(&mut payload, 2); // warm_entries
-        put_varint(&mut payload, 60); // uptime_secs
-        put_varint(&mut payload, 9); // total_queries
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Stats {
-                total_queries,
-                queue_depth,
-                shed_total,
-                conns_open,
-                ..
-            } => assert_eq!(
-                (total_queries, queue_depth, shed_total, conns_open),
-                (9, 0, 0, 0)
-            ),
-            other => panic!("{other:?}"),
-        }
-
-        // A partially appended admission tier is corruption, same as the
-        // warm-start and telemetry tiers before it.
-        put_varint(&mut payload, 4); // queue_depth present…
-        put_varint(&mut payload, 2); // …shed_total present, conns_open missing
-        assert!(decode_binary_payload(&payload).is_err());
-    }
-
-    #[test]
-    fn pre_mutation_binary_frames_still_decode() {
-        // Peers from the admission era emit every tier through conns_open
-        // but end before the mutation counter; it defaults to 0.
-        let mut payload = vec![tag::STATS];
-        put_varint(&mut payload, 2); // hits
-        put_varint(&mut payload, 1); // misses
-        put_varint(&mut payload, 1); // entries
-        put_varint(&mut payload, 0); // evictions
-        payload.extend_from_slice(&(2.0f64 / 3.0).to_bits().to_le_bytes());
-        put_varint(&mut payload, 7); // warm_hits
-        put_varint(&mut payload, 3); // warm_misses
-        put_varint(&mut payload, 2); // warm_entries
-        put_varint(&mut payload, 60); // uptime_secs
-        put_varint(&mut payload, 9); // total_queries
-        put_varint(&mut payload, 4); // queue_depth
-        put_varint(&mut payload, 2); // shed_total
-        put_varint(&mut payload, 1); // conns_open
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Stats {
-                conns_open,
-                mutations_total,
-                ..
-            } => assert_eq!((conns_open, mutations_total), (1, 0)),
-            other => panic!("{other:?}"),
-        }
-
-        // With the counter appended the same frame round-trips it.
-        put_varint(&mut payload, 13); // mutations_total
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Stats {
-                mutations_total, ..
-            } => assert_eq!(mutations_total, 13),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn oversized_encode_is_a_typed_error_not_a_truncated_header() {
         // Regression (encode-side cap): the frame length is written as
         // `len as u32` after the payload; without the MAX_FRAME_BYTES

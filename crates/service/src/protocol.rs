@@ -1674,81 +1674,7 @@ mod tests {
     }
 
     #[test]
-    fn pre_warmstart_stats_and_info_lines_still_decode() {
-        // Transcripts captured before the warm-start tier existed lack
-        // the warm_* / warmstart fields; they must decode with defaults
-        // (0 counters, tier assumed on), not error.
-        match decode_response_line("OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5").unwrap()
-        {
-            Response::Stats {
-                hits,
-                warm_hits,
-                warm_misses,
-                warm_entries,
-                ..
-            } => {
-                assert_eq!((hits, warm_hits, warm_misses, warm_entries), (2, 0, 0, 0));
-            }
-            other => panic!("{other:?}"),
-        }
-        // Pre-telemetry transcripts (no uptime_secs/total_queries) also
-        // decode, with zero defaults.
-        match decode_response_line(
-            "OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5 \
-             warm_hits=3 warm_misses=2 warm_entries=1",
-        )
-        .unwrap()
-        {
-            Response::Stats {
-                uptime_secs,
-                total_queries,
-                ..
-            } => assert_eq!((uptime_secs, total_queries), (0, 0)),
-            other => panic!("{other:?}"),
-        }
-        match decode_response_line(
-            "OK shards=4 strategy=stratified workers=2 datasets=1 cache_entries=0",
-        )
-        .unwrap()
-        {
-            Response::Info {
-                warmstart,
-                uptime_secs,
-                total_queries,
-                ..
-            } => {
-                assert!(warmstart);
-                assert_eq!((uptime_secs, total_queries), (0, 0));
-            }
-            other => panic!("{other:?}"),
-        }
-        // Malformed values in the new fields are still typed errors.
-        assert!(decode_response_line(
-            "OK hits=1 misses=0 entries=0 evictions=0 hit_rate=1 warm_hits=x"
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn pre_admission_stats_lines_and_busy_markers_decode_compatibly() {
-        // Transcripts captured before admission control lack the
-        // queue_depth/shed_total/conns_open fields: they decode with
-        // zero defaults, exactly like the warm-start and telemetry
-        // tiers before them.
-        match decode_response_line(
-            "OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5 \
-             warm_hits=3 warm_misses=2 warm_entries=1 uptime_secs=12 total_queries=3",
-        )
-        .unwrap()
-        {
-            Response::Stats {
-                queue_depth,
-                shed_total,
-                conns_open,
-                ..
-            } => assert_eq!((queue_depth, shed_total, conns_open), (0, 0, 0)),
-            other => panic!("{other:?}"),
-        }
+    fn busy_markers_decode_compatibly() {
         // A message that merely *starts* like the busy marker but has a
         // malformed retry value stays a plain error (pre-admission
         // transcripts decode unchanged).
@@ -1793,44 +1719,6 @@ mod tests {
                 row: 17
             }
         );
-    }
-
-    #[test]
-    fn pre_mutation_stats_lines_still_decode() {
-        // Transcripts captured before the mutable catalog lack the
-        // mutations_total field: the appended-field compatibility
-        // pattern means they decode with a zero default, exactly like
-        // every tier extension before it.
-        match decode_response_line(
-            "OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5 \
-             warm_hits=3 warm_misses=2 warm_entries=1 uptime_secs=12 total_queries=3 \
-             queue_depth=2 shed_total=5 conns_open=7",
-        )
-        .unwrap()
-        {
-            Response::Stats {
-                conns_open,
-                mutations_total,
-                ..
-            } => assert_eq!((conns_open, mutations_total), (7, 0)),
-            other => panic!("{other:?}"),
-        }
-        // Malformed values in the new field are still typed errors.
-        assert!(decode_response_line(
-            "OK hits=1 misses=0 entries=0 evictions=0 hit_rate=1 mutations_total=x"
-        )
-        .is_err());
-        // A mutated line missing the optional tail fields also decodes
-        // (future-proofing the same pattern for this verb's own fields).
-        match decode_response_line("OK mutated name=t op=delete n=9 skyline=4").unwrap() {
-            Response::Mutated {
-                sky_changed,
-                cache_dropped,
-                warm_dropped,
-                ..
-            } => assert_eq!((sky_changed, cache_dropped, warm_dropped), (false, 0, 0)),
-            other => panic!("{other:?}"),
-        }
     }
 
     /// Decodes `resp` with its last `cut` fields removed, through each
@@ -1917,6 +1805,19 @@ mod tests {
             let [text, binary] = decode_cut(&full, 0);
             assert_eq!(text.unwrap(), full);
             assert_eq!(binary.unwrap(), full);
+            // A malformed value in an appended field is an error, not a
+            // default.
+            let line = encode_response_line(&full).unwrap();
+            let tokens: Vec<&str> = line.split(' ').collect();
+            let appended = boundaries.iter().map(|&(cut, _)| cut).max().unwrap();
+            for i in tokens.len() - appended..tokens.len() {
+                let (key, _) = tokens[i].split_once('=').unwrap();
+                let bad = format!("{key}=x");
+                let mut bad_line = tokens.clone();
+                bad_line[i] = &bad;
+                let bad_line = bad_line.join(" ");
+                assert!(decode_response_line(&bad_line).is_err(), "{bad_line:?}");
+            }
             for (cut, want) in boundaries {
                 let [text, binary] = decode_cut(&full, cut);
                 assert_eq!(text.unwrap(), want, "text cut {cut} of {full:?}");
