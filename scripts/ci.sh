@@ -37,6 +37,17 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# One core: TruncatedMhrObjective::gains splits large sweeps across
+# every core it may run on, so pin the solver's bit-identity suites to a
+# single CPU once to check the unsplit path against the same goldens.
+if command -v taskset >/dev/null; then
+    echo "==> solver tests on one core (taskset -c 0)"
+    taskset -c 0 cargo test -q -p fairhms-core
+    taskset -c 0 cargo test -q --test bigreedy_golden
+else
+    echo "==> taskset not found: skipping the one-core solver pass"
+fi
+
 # Sharded preparation: every engine/cache/server test must pass over the
 # sharded (4-way) catalog too — answers are contractually bit-identical
 # (see docs/ARCHITECTURE.md, "Sharded preparation & merge").
