@@ -192,7 +192,8 @@ fn cached_gains(
 /// Smallest cached sweep, in `items × open utilities` terms, that
 /// [`IncrementalObjective::gains`] splits across cores. At about 1.5 ns
 /// a term (the sweep streams score rows from memory) this is 200 µs of
-/// work on one core, against some 20–40 µs to start and join a thread.
+/// work on one core; starting and joining a scoped thread took about
+/// 50 µs on a shared 2-vCPU x86-64 host.
 const SPLIT_FLOOR: usize = 1 << 17;
 
 /// The machine's core count, read once: `available_parallelism` reads
@@ -204,9 +205,11 @@ fn cores() -> usize {
 
 /// One cached gain sweep's shared, read-only inputs.
 ///
-/// [`Sweep::run`] allocates nothing, so the threads running it never
-/// touch the allocator: glibc would otherwise give each one a malloc
-/// arena of its own that stays mapped for the life of the process.
+/// [`Sweep::run`] allocates nothing, so a helper thread running it makes
+/// no allocation of its own: glibc gives each allocating thread a malloc
+/// arena, which stays mapped after the thread exits. (Rust's thread
+/// start-up still makes one small allocation; `docs/ARCHITECTURE.md`,
+/// "τ-search hot loop", has what that costs.)
 #[derive(Clone, Copy)]
 struct Sweep<'s> {
     scores: &'s [f64],

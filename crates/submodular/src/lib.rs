@@ -204,22 +204,14 @@ pub fn lazy_greedy_matroid<O: IncrementalObjective, M: Matroid>(
     matroid: &M,
     candidates: &[usize],
 ) -> GreedyResult {
-    lazy_greedy_counted(
-        objective,
-        matroid,
-        candidates,
-        true,
-        &mut LazyWork::default(),
-    )
+    lazy_greedy_counted(objective, matroid, candidates, &mut LazyWork::default())
 }
 
-/// [`lazy_greedy_matroid`], counting its work into `work`; `bulk: false`
-/// never takes the whole-heap sweep.
+/// [`lazy_greedy_matroid`], counting its work into `work`.
 fn lazy_greedy_counted<O: IncrementalObjective, M: Matroid>(
     objective: &O,
     matroid: &M,
     candidates: &[usize],
-    bulk: bool,
     work: &mut LazyWork,
 ) -> GreedyResult {
     let mut state = objective.empty_state();
@@ -239,7 +231,7 @@ fn lazy_greedy_counted<O: IncrementalObjective, M: Matroid>(
     while items.len() < rank {
         let mut refreshed = 0usize; // entries refreshed for this pick
         let chosen = loop {
-            if bulk && refreshed > 0 && refreshed * BULK_DIVISOR >= heap.len() {
+            if refreshed > 0 && refreshed * BULK_DIVISOR >= heap.len() {
                 // Growing S only shrinks the feasible extension set in a
                 // matroid, so dropping an infeasible entry is for good.
                 // Entries refreshed for this pick were feasible when
@@ -498,9 +490,10 @@ mod tests {
     fn bulk_refresh_matches_eager_with_fewer_pops() {
         // Every item covers hub element 0 (weight 1000) plus three of 100
         // small elements, so the first pick cuts every other gain by
-        // 1000: all 600 entries go stale at once and the refreshes cross
-        // the 1/8 trigger. Group 0 closes after one pick, so the sweep
-        // also drops infeasible entries.
+        // 1000: refreshing four at a time, the second pick alone would
+        // pop all 599 entries left (623 pops in the whole run). The
+        // refreshes cross the 1/8 trigger instead. Group 0 closes after
+        // one pick, so the sweep also drops infeasible entries.
         let n = 600;
         let mut seed = 99u64;
         let mut rnd = move || {
@@ -523,22 +516,13 @@ mod tests {
         let m = FairnessMatroid::new(groups, vec![0, 0, 0], vec![1, 3, 3], 6).unwrap();
         let cands: Vec<usize> = (0..n).collect();
         let eager = greedy_matroid(&cov, &m, &cands);
-        let mut plain = LazyWork::default();
-        let unswept = lazy_greedy_counted(&cov, &m, &cands, false, &mut plain);
-        let mut swept = LazyWork::default();
-        let lazy = lazy_greedy_counted(&cov, &m, &cands, true, &mut swept);
+        let mut work = LazyWork::default();
+        let lazy = lazy_greedy_counted(&cov, &m, &cands, &mut work);
         assert_eq!(eager.items.len(), 6);
         assert_eq!(lazy.items, eager.items);
-        assert_eq!(unswept.items, eager.items);
         assert_eq!(lazy.value.to_bits(), eager.value.to_bits());
-        assert_eq!(plain.bulk_sweeps, 0);
-        assert!(swept.bulk_sweeps > 0, "{swept:?}");
-        assert!(
-            swept.pops < plain.pops,
-            "{} pops with the sweep, {} without",
-            swept.pops,
-            plain.pops
-        );
+        assert!(work.bulk_sweeps > 0, "{work:?}");
+        assert!(work.pops < n / 2, "{work:?}");
     }
 
     #[test]
